@@ -15,7 +15,6 @@ from .errors import (
     DegenerateBandError,
     DomainError,
     EstimationError,
-    IntegrationError,
     LossfitError,
     NoMleError,
     NoSolutionError,
@@ -57,10 +56,7 @@ from .mtm import (
     validate_trim_z,
 )
 from .numerics import (
-    QuadratureSpec,
     SolverSpec,
-    integrate_1d,
-    integrate_2d_square,
     normal_hazard,
     solve_2d,
     solve_monotone_scalar,

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DomainError, SingularMatrixError
 from .mle import cov_mle_y, cov_mle_z
 from .mtm import TrimSpec, cov_mtm_y, cov_mtm_z
-from .numerics import QuadratureSpec
 from .payments import GroundUpLognormal, PaymentKind, PolicySpec, derive_thresholds
 
 __all__ = [
@@ -114,10 +113,10 @@ class AreTable:
         return buf.getvalue()
 
 
-def are_table(req: AreRequest, quad: QuadratureSpec | None = None) -> AreTable:
+def are_table(req: AreRequest) -> AreTable:
     """Score every trimming pair in the request against the MLE.
 
-    Cells that fail (inadmissible fractions, quadrature trouble) are
+    Cells that fail (inadmissible fractions, a singular covariance) are
     recorded in ``errors`` and left out of ``cells``; one bad cell never
     aborts the table.  Cells are independent, so evaluation order does
     not matter.
@@ -131,9 +130,9 @@ def are_table(req: AreRequest, quad: QuadratureSpec | None = None) -> AreTable:
         key = (trim.a, trim.b)
         try:
             if req.variant is PaymentKind.PER_PAYMENT:
-                s_alt = cov_mtm_y(model.theta, model.sigma, th, trim, quad)
+                s_alt = cov_mtm_y(model.theta, model.sigma, th, trim)
             else:
-                s_alt = cov_mtm_z(model.sigma, trim, quad)
+                s_alt = cov_mtm_z(model.sigma, trim)
             cells[key] = are_pair(s_mle, s_alt)
         except Exception as exc:  # noqa: BLE001 - per-cell isolation is the contract
             errors[key] = f"{type(exc).__name__}: {exc}"

@@ -22,19 +22,6 @@ class DegenerateBandError(DomainError):
     """The probability band between the truncation and censoring points vanishes."""
 
 
-class IntegrationError(LossfitError):
-    """Quadrature failed to meet tolerance.
-
-    ``estimate`` holds the best value reached, ``error_bound`` the
-    estimated absolute error of that value.
-    """
-
-    def __init__(self, message: str, estimate: float, error_bound: float):
-        super().__init__(message)
-        self.estimate = estimate
-        self.error_bound = error_bound
-
-
 class NoSolutionError(LossfitError):
     """A scalar target lies outside the range of the monotone function."""
 

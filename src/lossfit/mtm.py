@@ -9,14 +9,16 @@ Per-payment fits (estimation from the uncensored interior only) lead to
 an implicit two-equation system because the population coefficients
 depend on the unknown standardized truncation point; per-loss fits reduce
 to the complete-data closed form once the trimming fractions cover the
-atoms at zero and at the censoring point.  The admissible window for the
-trimming fractions is checked empirically before fitting and re-checked
-parametrically after, mirroring how the fractions are chosen in practice.
+atoms at zero and at the censoring point.  Every coefficient, its
+truncation derivatives and the covariance stars are closed forms in the
+partial normal moments over the trimming window, so no integral is
+evaluated numerically.  The admissible window for the trimming fractions
+is checked empirically before fitting and re-checked parametrically
+after, mirroring how the fractions are chosen in practice.
 """
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -32,13 +34,10 @@ from .errors import (
 )
 from .mle import FitResult, confidence_intervals
 from .numerics import (
-    QuadratureSpec,
     SolverSpec,
-    integrate_1d,
-    integrate_2d_square,
+    normal_hazard,
     std_normal_cdf,
-    std_normal_pdf,
-    std_normal_quantile,
+    std_normal_log_sf,
     std_normal_sf,
 )
 from .payments import NormalThresholds, PaymentKind, PaymentSample
@@ -61,16 +60,8 @@ __all__ = [
     "validate_trim_z",
 ]
 
-#: Trimming fractions below this are treated as endpoint-singular.
-ENDPOINT_GUARD = 1e-6
-
-# scalar fast paths for the quadrature integrands (hot loops)
 _ndtri = special.ndtri
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def _pdf_scalar(z: float) -> float:
-    return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _parse_fraction(value) -> tuple[float, Fraction | None]:
@@ -151,11 +142,11 @@ class CoefficientSet:
 
     c1: float
     c2: float
-    c3: float | None = None
-    c4: float | None = None
-    c1_star: float | None = None
-    c2_star: float | None = None
-    c3_star: float | None = None
+    c3: float
+    c4: float
+    c1_star: float
+    c2_star: float
+    c3_star: float
     dc1_dtheta: float = 0.0
     dc2_dtheta: float = 0.0
     dc1_dsigma: float = 0.0
@@ -228,160 +219,107 @@ def trimmed_sample_moments(sample: PaymentSample, trim: TrimSpec, j: int) -> flo
 
 
 # ---------------------------------------------------------------------------
-# coefficient integrals
+# trimming coefficients (closed form)
 # ---------------------------------------------------------------------------
 
-_cache_lock = threading.Lock()
-_c_y_cache: dict[tuple, tuple] = {}
-_C_Y_CACHE_MAX = 4096
+def _window_end(cdf_t: float, sf_t: float, s: float, one_minus_s: float) -> float:
+    """``psi(s) = quantile(cdf_t + s * sf_t)``, read from the accurate tail.
+
+    The right-tail form ``-quantile((1 - s) * sf_t)`` keeps full precision
+    when the truncation point lies far in the right tail, where
+    ``cdf_t + s * sf_t`` rounds to one.
+    """
+    p = cdf_t + s * sf_t
+    return _ndtri(p) if p < 0.5 else -_ndtri(one_minus_s * sf_t)
 
 
-def _cached(key: tuple, compute):
-    with _cache_lock:
-        hit = _c_y_cache.get(key)
-    if hit is not None:
-        return hit
-    out = compute()
-    with _cache_lock:
-        if len(_c_y_cache) >= _C_Y_CACHE_MAX:
-            _c_y_cache.pop(next(iter(_c_y_cache)))
-        _c_y_cache[key] = out
-    return out
+def _weighted_powers(weight: float, z: float) -> list[float]:
+    """``weight * z**j`` for j = 0..4, all zero for a zero weight even at |z| = inf."""
+    if weight == 0.0:
+        return [0.0] * 5
+    return [weight * z ** j for j in range(5)]
 
 
-def _c_y_values(gamma: float, a: float, b: float, highest: int,
-                quad: QuadratureSpec | None) -> tuple:
-    """Window quantile moments c_1..c_highest at gamma (cached)."""
-    p_t = std_normal_cdf(gamma)
+def _coefficients(gamma: float, trim: TrimSpec, sigma: float) -> CoefficientSet:
+    """Every trimming coefficient at standardized truncation point gamma.
+
+    Substituting ``z = psi(s)`` turns the window averages into partial
+    normal moments over ``[z_a, z_b] = [psi(a), psi(1 - b)]``, which obey
+    the recurrence ``M_k = (k-1) M_{k-2} + z_a^(k-1) pdf(z_a) - z_b^(k-1)
+    pdf(z_b)`` with ``M_0 = tau * sf(gamma)``; every moment is kept divided
+    by ``sf(gamma)`` so nothing underflows in the right tail.  The
+    variance of a trimmed mean depends on the quantile function only
+    through its window ends (Stigler 1973, Ann. Statist. 1:472), so the
+    stars take the complete-data closed form with ``q_a = z_a`` and
+    ``q_b = z_b``.  ``gamma = -inf`` gives the complete-data case, whose
+    derivatives are left at zero.
+    """
+    a, b = trim.a, trim.b
     tau = 1.0 - a - b
+    cdf_t = std_normal_cdf(gamma)
+    sf_t = std_normal_sf(gamma)
+    za = gamma if a == 0.0 else _window_end(cdf_t, sf_t, a, 1.0 - a)
+    zb = _window_end(cdf_t, sf_t, 1.0 - b, b)
+    if (a > 0.0 and not math.isfinite(za)) or (b > 0.0 and not math.isfinite(zb)):
+        raise DomainError(
+            f"trimming window {trim} is not representable at gamma={gamma:.6g}: "
+            "the truncation point lies too far in the right tail")
+    log_sf_t = std_normal_log_sf(gamma)
 
-    def compute():
-        cs = [integrate_1d(lambda s, k=k: _ndtri(s + (1.0 - s) * p_t) ** k,
-                           a, 1.0 - b, quad) / tau
-              for k in range(1, highest + 1)]
-        return tuple(cs) + (None,) * (4 - highest)
+    def scaled_pdf(z: float) -> float:
+        return 0.0 if math.isinf(z) else math.exp(-0.5 * z * z - _LOG_SQRT_2PI - log_sf_t)
 
-    return _cached(("c", round(gamma, 12), a, b, highest), compute)
+    ea, eb = _weighted_powers(scaled_pdf(za), za), _weighted_powers(scaled_pdf(zb), zb)
+    m = [tau, ea[0] - eb[0]]
+    for k in range(2, 5):
+        m.append((k - 1) * m[k - 2] + ea[k - 1] - eb[k - 1])
+    c1, c2, c3, c4 = (mk / tau for mk in m[1:])
+
+    aq, bq = _weighted_powers(a, za), _weighted_powers(b, zb)
+    abar, bbar = 1.0 - a, 1.0 - b
+    c1s = (abar * aq[2] + bbar * bq[2] - 2.0 * aq[1] * bq[1]
+           - 2.0 * tau * c1 * (aq[1] + bq[1])
+           - tau ** 2 * c1 ** 2 + tau * c2) / tau ** 2
+    c2s = (abar * aq[3] + bbar * bq[3] - aq[2] * bq[1] - aq[1] * bq[2]
+           - tau * c1 * (aq[2] + bq[2])
+           - tau * c2 * (aq[1] + bq[1])
+           - tau ** 2 * c1 * c2 + tau * c3) / (2.0 * tau ** 2)
+    c3s = (abar * aq[4] + bbar * bq[4] - 2.0 * aq[2] * bq[2]
+           - 2.0 * tau * c2 * (aq[2] + bq[2])
+           - tau ** 2 * c2 ** 2 + tau * c4) / (4.0 * tau ** 2)
+    cset = CoefficientSet(c1=c1, c2=c2, c3=c3, c4=c4,
+                          c1_star=c1s, c2_star=c2s, c3_star=c3s, gamma_used=gamma)
+    hazard = normal_hazard(gamma)
+    if hazard > 0.0:
+        # dc_k/dgamma = hazard * (b z_b^k - (1 - a) z_a^k + tau c_k) / tau,
+        # and gamma = (t - theta) / sigma
+        for k, ck in ((1, c1), (2, c2)):
+            dtheta = -hazard * (bq[k] - abar * za ** k + tau * ck) / (tau * sigma)
+            setattr(cset, f"dc{k}_dtheta", dtheta)
+            setattr(cset, f"dc{k}_dsigma", gamma * dtheta)
+    return cset
 
 
-def _c_y_derivative_integrals(gamma: float, a: float, b: float,
-                              quad: QuadratureSpec | None) -> tuple[float, float]:
-    """The two integrals entering the coefficient derivatives (cached)."""
-    p_t = std_normal_cdf(gamma)
-
-    def integrand(s: float, k: int) -> float:
-        z = _ndtri(s + (1.0 - s) * p_t)
-        return (1.0 - s) * z ** (k - 1) / _pdf_scalar(z)
-
-    def compute():
-        return tuple(integrate_1d(lambda s, k=k: integrand(s, k), a, 1.0 - b,
-                                  quad)
-                     for k in (1, 2))
-
-    return _cached(("j", round(gamma, 12), a, b), compute)
-
-
-def coeff_c_y(gamma: float, trim: TrimSpec, quad: QuadratureSpec | None = None,
-              sigma: float = 1.0, highest: int = 4,
-              derivatives: bool = True) -> CoefficientSet:
+def coeff_c_y(gamma: float, trim: TrimSpec, sigma: float = 1.0) -> CoefficientSet:
     """Per-payment trimming coefficients at standardized truncation point gamma.
 
     The window average runs over the quantile function evaluated at
     ``s + (1 - s) * cdf(gamma)``, which collapses to the complete-data
-    coefficients as ``gamma -> -inf``.  Derivatives with respect to the
-    location are returned for the first two coefficients; the scale
-    derivatives follow from the chain rule (``d/dsigma = gamma * d/dtheta``
-    at fixed thresholds).  ``sigma`` only scales the derivative values.
+    coefficients as ``gamma -> -inf``.  Alongside ``c1..c4`` and the
+    stars, derivatives with respect to the location are returned for the
+    first two coefficients; the scale derivatives follow from the chain
+    rule (``d/dsigma = gamma * d/dtheta`` at fixed thresholds).  ``sigma``
+    only scales the derivative values.  Zero trimming fractions are
+    analytic limits.
     """
-    if not trim.b >= ENDPOINT_GUARD:
-        raise DomainError(
-            f"upper trimming fraction must be at least {ENDPOINT_GUARD} "
-            "(the integrand diverges at the right endpoint)")
     if not math.isfinite(gamma):
         raise DomainError("gamma must be finite; use coeff_c_complete for the limit")
-    if highest not in (2, 4):
-        raise DomainError("highest must be 2 or 4")
-    c1, c2, c3, c4 = _c_y_values(gamma, trim.a, trim.b, highest, quad)
-    if not derivatives:
-        return CoefficientSet(c1=c1, c2=c2, c3=c3, c4=c4, gamma_used=gamma)
-    j1, j2 = _c_y_derivative_integrals(gamma, trim.a, trim.b, quad)
-    tau = 1.0 - trim.a - trim.b
-    pdf_g = std_normal_pdf(gamma)
-    dc1_dtheta = -pdf_g / (sigma * tau) * j1
-    dc2_dtheta = -2.0 * pdf_g / (sigma * tau) * j2
-    return CoefficientSet(
-        c1=c1, c2=c2, c3=c3, c4=c4,
-        dc1_dtheta=dc1_dtheta, dc2_dtheta=dc2_dtheta,
-        dc1_dsigma=gamma * dc1_dtheta, dc2_dsigma=gamma * dc2_dtheta,
-        gamma_used=gamma)
+    return _coefficients(gamma, trim, sigma)
 
 
-def coeff_c_complete(trim: TrimSpec,
-                     quad: QuadratureSpec | None = None) -> CoefficientSet:
-    """Complete-data trimming coefficients, including the closed-form stars.
-
-    The variance coefficients ``c1_star..c3_star`` have closed forms in
-    the window endpoints and ``c1..c4``; no double integration is needed.
-    """
-    a, b = trim.a, trim.b
-    if not (a >= ENDPOINT_GUARD and b >= ENDPOINT_GUARD):
-        raise DomainError(
-            f"both trimming fractions must be at least {ENDPOINT_GUARD} "
-            "(the integrands diverge at the window endpoints)")
-    tau = 1.0 - a - b
-    c1, c2, c3, c4 = _cached(
-        ("complete", a, b),
-        lambda: tuple(integrate_1d(lambda s, k=k: _ndtri(s) ** k, a, 1.0 - b,
-                                   quad) / tau
-                      for k in (1, 2, 3, 4)))
-    qa = std_normal_quantile(a)
-    qb = std_normal_quantile(1.0 - b)
-    abar, bbar = 1.0 - a, 1.0 - b
-    c1s = (a * abar * qa ** 2 + b * bbar * qb ** 2 - 2.0 * a * b * qa * qb
-           - 2.0 * tau * c1 * (a * qa + b * qb)
-           - tau ** 2 * c1 ** 2 + tau * c2) / tau ** 2
-    c2s = (a * abar * qa ** 3 + b * bbar * qb ** 3
-           - a * b * qa * qb * (qa + qb)
-           - tau * c1 * (a * qa ** 2 + b * qb ** 2)
-           - tau * c2 * (a * qa + b * qb)
-           - tau ** 2 * c1 * c2 + tau * c3) / (2.0 * tau ** 2)
-    c3s = (a * abar * qa ** 4 + b * bbar * qb ** 4
-           - 2.0 * a * b * qa ** 2 * qb ** 2
-           - 2.0 * tau * c2 * (a * qa ** 2 + b * qb ** 2)
-           - tau ** 2 * c2 ** 2 + tau * c4) / (4.0 * tau ** 2)
-    return CoefficientSet(c1=c1, c2=c2, c3=c3, c4=c4,
-                          c1_star=c1s, c2_star=c2s, c3_star=c3s,
-                          gamma_used=-math.inf)
-
-
-def _c_star_y(gamma: float, trim: TrimSpec,
-              quad: QuadratureSpec | None) -> tuple[float, float, float]:
-    """Min-kernel double integrals for the per-payment moment covariance."""
-    a, b = trim.a, trim.b
-    p_t = std_normal_cdf(gamma)
-    tau = 1.0 - a - b
-    quad = quad or QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)
-
-    def psi(s: float) -> float:
-        return _ndtri(s + (1.0 - s) * p_t)
-
-    def weight(s: float) -> float:
-        return 1.0 / _pdf_scalar(psi(s))
-
-    def k1(u: float, v: float) -> float:
-        return (min(u, v) - u * v) * weight(u) * weight(v)
-
-    def k2(u: float, v: float) -> float:
-        return (min(u, v) - u * v) * psi(u) * weight(u) * weight(v)
-
-    def k3(u: float, v: float) -> float:
-        return (min(u, v) - u * v) * psi(u) * weight(u) * psi(v) * weight(v)
-
-    pref = (std_normal_sf(gamma) / tau) ** 2
-    return (pref * integrate_2d_square(k1, a, 1.0 - b, quad),
-            pref * integrate_2d_square(k2, a, 1.0 - b, quad),
-            pref * integrate_2d_square(k3, a, 1.0 - b, quad))
-
+def coeff_c_complete(trim: TrimSpec) -> CoefficientSet:
+    """Complete-data trimming coefficients, including the stars, in closed form."""
+    return _coefficients(-math.inf, trim, 1.0)
 
 # ---------------------------------------------------------------------------
 # per-payment fit (implicit system)
@@ -403,7 +341,6 @@ def _require_y(sample: PaymentSample) -> None:
 
 def fit_mtm_y(sample: PaymentSample, trim: TrimSpec,
               solver: SolverSpec | None = None,
-              quad: QuadratureSpec | None = None,
               level: float = 0.95, validate: bool = True,
               with_cov: bool = True) -> FitResult:
     """Trimmed-moment fit of a per-payment sample.
@@ -435,7 +372,7 @@ def fit_mtm_y(sample: PaymentSample, trim: TrimSpec,
     for it in range(1, solver.max_iterations + 1):
         iterations = it
         gamma = (t - theta) / sigma
-        cset = coeff_c_y(gamma, trim, quad, highest=2, derivatives=False)
+        cset = coeff_c_y(gamma, trim)
         denom = cset.c2 - cset.c1 ** 2
         if denom <= 0.0:
             raise EstimationError(
@@ -455,11 +392,10 @@ def fit_mtm_y(sample: PaymentSample, trim: TrimSpec,
                                last=(theta, sigma), iterations=iterations)
 
     return _finish_mtm_y(sample, trim, theta, sigma, iterations, level,
-                         "mtm", quad, validate, with_cov)
+                         "mtm", validate, with_cov)
 
 
 def fit_mtm_y_plugin(sample: PaymentSample, trim: TrimSpec,
-                     quad: QuadratureSpec | None = None,
                      level: float = 0.95, validate: bool = True,
                      with_cov: bool = True) -> FitResult:
     """One-shot per-payment fit with the truncation probability plugged in.
@@ -478,22 +414,21 @@ def fit_mtm_y_plugin(sample: PaymentSample, trim: TrimSpec,
     t = sample.thresholds.t
     sigma0 = math.sqrt(spread)
     gamma0 = (t - mu1) / sigma0
-    cset = coeff_c_y(gamma0, trim, quad, highest=2, derivatives=False)
+    cset = coeff_c_y(gamma0, trim)
     denom = cset.c2 - cset.c1 ** 2
     if denom <= 0.0:
         raise EstimationError(f"degenerate coefficients at gamma={gamma0:.4g}")
     sigma_hat = math.sqrt(spread / denom)
     theta_hat = mu1 - cset.c1 * sigma_hat
     result = _finish_mtm_y(sample, trim, theta_hat, sigma_hat, 0, level,
-                           "mtm-plugin", quad, validate, with_cov)
+                           "mtm-plugin", validate, with_cov)
     result.extras["frozen_gamma"] = gamma0
     return result
 
 
 def _finish_mtm_y(sample: PaymentSample, trim: TrimSpec, theta: float,
                   sigma: float, iterations: int, level: float, method: str,
-                  quad: QuadratureSpec | None, validate: bool,
-                  with_cov: bool) -> FitResult:
+                  validate: bool, with_cov: bool) -> FitResult:
     th = sample.thresholds
     gamma_hat = (th.t - theta) / sigma
     result = FitResult(
@@ -502,7 +437,7 @@ def _finish_mtm_y(sample: PaymentSample, trim: TrimSpec, theta: float,
         level=level, iterations=iterations, converged=True, method=method,
         extras={"trim": trim})
     if with_cov:
-        result.cov = cov_mtm_y(theta, sigma, th, trim, quad)
+        result.cov = cov_mtm_y(theta, sigma, th, trim)
         result.ci_theta, result.ci_sigma = confidence_intervals(result, level)
     if validate:
         result.extras["validation"] = validate_trim_y(sample, trim, result)
@@ -510,12 +445,11 @@ def _finish_mtm_y(sample: PaymentSample, trim: TrimSpec, theta: float,
 
 
 def cov_mtm_y(theta: float, sigma: float, thresholds: NormalThresholds,
-              trim: TrimSpec, quad: QuadratureSpec | None = None,
-              return_work: bool = False):
+              trim: TrimSpec, return_work: bool = False):
     """Asymptotic covariance of the per-payment trimmed-moment estimator.
 
     Assembles the delta-method sandwich: the moment covariance from the
-    min-kernel double integrals, and the Jacobian of the estimator with
+    min-kernel coefficients, and the Jacobian of the estimator with
     respect to the two trimmed moments by implicit differentiation of the
     defining equations (the coefficients move with the parameters through
     the standardized truncation point).
@@ -523,7 +457,7 @@ def cov_mtm_y(theta: float, sigma: float, thresholds: NormalThresholds,
     if not sigma > 0:
         raise DomainError("sigma must be strictly positive")
     gamma = (thresholds.t - theta) / sigma
-    cset = coeff_c_y(gamma, trim, quad, sigma=sigma, highest=2)
+    cset = coeff_c_y(gamma, trim, sigma=sigma)
     c1, c2 = cset.c1, cset.c2
     f11 = 1.0 + sigma * cset.dc1_dtheta
     f12 = c1 + sigma * cset.dc1_dsigma
@@ -546,7 +480,7 @@ def cov_mtm_y(theta: float, sigma: float, thresholds: NormalThresholds,
     d11 = (1.0 - f12 * d21) / f11
     d12 = -f12 * d22 / f11
 
-    c1s, c2s, c3s = _c_star_y(gamma, trim, quad)
+    c1s, c2s, c3s = cset.c1_star, cset.c2_star, cset.c3_star
     s11 = sigma ** 2 * c1s
     s12 = 2.0 * theta * sigma ** 2 * c1s + 2.0 * sigma ** 3 * c2s
     s22 = (4.0 * theta ** 2 * sigma ** 2 * c1s
@@ -568,7 +502,6 @@ def cov_mtm_y(theta: float, sigma: float, thresholds: NormalThresholds,
 # ---------------------------------------------------------------------------
 
 def fit_mtm_z(sample: PaymentSample, trim: TrimSpec,
-              quad: QuadratureSpec | None = None,
               level: float = 0.95, validate: bool = True,
               with_cov: bool = True) -> FitResult:
     """Trimmed-moment fit of a per-loss sample, in closed form.
@@ -588,7 +521,7 @@ def fit_mtm_z(sample: PaymentSample, trim: TrimSpec,
     spread = mu2 - mu1 ** 2
     if spread <= 0.0:
         raise EstimationError("trimmed moments have no spread; cannot identify sigma")
-    cset = coeff_c_complete(trim, quad)
+    cset = coeff_c_complete(trim)
     denom = cset.c2 - cset.c1 ** 2
     if denom <= 0.0:
         raise SingularMatrixError("degenerate coefficient spread: c2 <= c1^2")
@@ -605,15 +538,14 @@ def fit_mtm_z(sample: PaymentSample, trim: TrimSpec,
         level=level, iterations=0, converged=True, method="mtm",
         extras={"trim": trim, "residual": max(residual)})
     if with_cov:
-        result.cov = cov_mtm_z(sigma_hat, trim, quad)
+        result.cov = cov_mtm_z(sigma_hat, trim)
         result.ci_theta, result.ci_sigma = confidence_intervals(result, level)
     if validate:
         result.extras["validation"] = validate_trim_z(sample, trim, result)
     return result
 
 
-def cov_mtm_z(sigma: float, trim: TrimSpec,
-              quad: QuadratureSpec | None = None) -> np.ndarray:
+def cov_mtm_z(sigma: float, trim: TrimSpec) -> np.ndarray:
     """Asymptotic covariance of the per-loss trimmed-moment estimator.
 
     Only the scale enters; with the atoms trimmed away the estimator and
@@ -621,7 +553,7 @@ def cov_mtm_z(sigma: float, trim: TrimSpec,
     """
     if not sigma > 0:
         raise DomainError("sigma must be strictly positive")
-    cset = coeff_c_complete(trim, quad)
+    cset = coeff_c_complete(trim)
     c1, c2 = cset.c1, cset.c2
     c1s, c2s, c3s = cset.c1_star, cset.c2_star, cset.c3_star
     denom = c2 - c1 ** 2

@@ -1,9 +1,9 @@
-"""Numerical kernels: normal special functions, quadrature, root finding.
+"""Numerical kernels: normal special functions and root finding.
 
 Everything in this module is a pure function of its inputs, so concurrent
 use from multiple threads is safe.  The statistical modules build on these
-primitives exclusively; no other part of the package calls scipy's
-integrators or optimizers directly.
+primitives; the package evaluates no integral numerically and calls no
+scipy optimizer.
 """
 from __future__ import annotations
 
@@ -12,18 +12,16 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import (
     ConvergenceError,
     DomainError,
-    IntegrationError,
     NoSolutionError,
     SingularMatrixError,
 )
 
 __all__ = [
-    "QuadratureSpec",
     "SolverSpec",
     "Root2d",
     "std_normal_pdf",
@@ -33,37 +31,12 @@ __all__ = [
     "std_normal_log_cdf",
     "std_normal_quantile",
     "normal_hazard",
-    "integrate_1d",
-    "integrate_2d_square",
     "solve_monotone_scalar",
     "solve_2d",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerance budget for the adaptive integrators.
-
-    Attributes
-    ----------
-    abs_tol, rel_tol : float
-        Absolute and relative tolerance targets; both must be positive.
-    max_subdivisions : int
-        Cap on adaptive interval subdivisions before giving up.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise DomainError("quadrature tolerances must be strictly positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -166,67 +139,6 @@ def normal_hazard(x):
     return float(out) if out.ndim == 0 else out
 
 
-def integrate_1d(f: Callable[[float], float], lo: float, hi: float,
-                 spec: QuadratureSpec | None = None) -> float:
-    """Adaptive Gauss-Kronrod integral of ``f`` over ``(lo, hi)``.
-
-    Parameters
-    ----------
-    f : callable
-        Scalar integrand, finite on the open interval.
-    lo, hi : float
-        Integration limits with ``lo < hi``.
-    spec : QuadratureSpec, optional
-        Tolerance budget; defaults apply when omitted.
-
-    Returns
-    -------
-    float
-        The integral, accurate to ``max(abs_tol, rel_tol * |integral|)``
-        for smooth integrands.
-
-    Raises
-    ------
-    IntegrationError
-        When the subdivision budget is exhausted before the tolerance is
-        met; the best estimate and its error bound ride on the exception.
-    """
-    spec = spec or QuadratureSpec()
-    if not lo < hi:
-        raise DomainError(f"integration limits must satisfy lo < hi, got ({lo}, {hi})")
-    out = integrate.quad(f, lo, hi, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                         limit=spec.max_subdivisions, full_output=1)
-    value, err = out[0], out[1]
-    if len(out) > 3:  # quad appended a warning message: tolerance not met
-        raise IntegrationError(
-            f"quadrature on ({lo}, {hi}) failed to converge: {out[3]}",
-            estimate=value, error_bound=err)
-    return value
-
-
-def integrate_2d_square(k: Callable[[float, float], float], lo: float, hi: float,
-                        spec: QuadratureSpec | None = None) -> float:
-    """Integral of ``k(u, v)`` over the square ``(lo, hi) x (lo, hi)``.
-
-    The kernels this serves contain ``min(u, v)``, which has a derivative
-    kink along the diagonal.  The square is therefore split along ``u = v``
-    and each inner integral runs over a single smooth triangle, restoring
-    the smoothness assumptions of the adaptive rule.
-    """
-    spec = spec or QuadratureSpec()
-    if not lo < hi:
-        raise DomainError(f"integration limits must satisfy lo < hi, got ({lo}, {hi})")
-    inner_spec = QuadratureSpec(abs_tol=0.1 * spec.abs_tol, rel_tol=0.1 * spec.rel_tol,
-                                max_subdivisions=spec.max_subdivisions)
-
-    def cross_section(u: float) -> float:
-        below = integrate_1d(lambda v: k(u, v), lo, u, inner_spec) if u > lo else 0.0
-        above = integrate_1d(lambda v: k(u, v), u, hi, inner_spec) if u < hi else 0.0
-        return below + above
-
-    return integrate_1d(cross_section, lo, hi, spec)
-
-
 def solve_monotone_scalar(f: Callable[[float], float], target: float,
                           bracket: tuple[float, float],
                           spec: SolverSpec | None = None) -> float:
@@ -301,6 +213,13 @@ def solve_monotone_scalar(f: Callable[[float], float], target: float,
                            last=0.5 * (lo + hi), residual=abs(f(0.5 * (lo + hi)) - target))
 
 
+def _residual_norm(f: np.ndarray) -> float:
+    """Euclidean norm of a residual vector; ``inf`` when it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = float(np.linalg.norm(f))
+    return res if math.isfinite(res) else math.inf
+
+
 def _fd_jacobian(func, x: np.ndarray, fx: np.ndarray) -> np.ndarray:
     """Central finite-difference Jacobian, step ``max(1e-6, 1e-6 |x_j|)``."""
     n = x.size
@@ -347,7 +266,7 @@ def solve_2d(func: Callable[[np.ndarray], Sequence[float]],
     spec = spec or SolverSpec()
     x = np.asarray(start, dtype=float).copy()
     fx = np.asarray(func(x), dtype=float)
-    res = float(np.linalg.norm(fx))
+    res = _residual_norm(fx)
     if not np.all(np.isfinite(fx)):
         raise ConvergenceError("system is not finite at the start point",
                                last=tuple(x), residual=res, iterations=0)
@@ -368,8 +287,8 @@ def solve_2d(func: Callable[[np.ndarray], Sequence[float]],
         for _ in range(60):
             x_new = x + lam * step
             f_new = np.asarray(func(x_new), dtype=float)
-            res_new = float(np.linalg.norm(f_new))
-            if np.all(np.isfinite(f_new)) and res_new < res:
+            res_new = _residual_norm(f_new)
+            if res_new < res:
                 accepted = True
                 break
             lam *= 0.5

@@ -12,11 +12,11 @@ import pytest
 import lossfit as lf
 from lossfit.efficiency import mle_asymptotic_cov
 from lossfit.errors import NoMleError
-from lossfit.mtm import _c_star_y
 from lossfit.payments import PaymentKind
 from lossfit.simulation import EstimatorSpec, StudyConfig, generate_sample, run_study
 
 from conftest import indemnity_csv_path, requires_indemnity_data
+from quadrature import c_star_y
 
 DESIGN_MODEL = lf.GroundUpLognormal(w0=1.0, theta=5.0, sigma=3.0)
 U_VALUES = {"2e5": 2e5, "2.4e4": 2.4e4, "8.5e3": 8.5e3}
@@ -351,7 +351,7 @@ class TestCriterion5PropertySuite:
         for a, b in ((0.1, 0.1), (0.05, 0.25), (0.25, 0.1)):
             trim = lf.TrimSpec(a, b)
             closed = lf.coeff_c_complete(trim)
-            direct = _c_star_y(-math.inf, trim, None)
+            direct = c_star_y(-math.inf, a, b)
             assert closed.c1_star == pytest.approx(direct[0], abs=1e-6)
             assert closed.c2_star == pytest.approx(direct[1], abs=1e-6)
             assert closed.c3_star == pytest.approx(direct[2], abs=1e-6)

@@ -141,6 +141,24 @@ class TestFit:
         assert code == EXIT_VALIDATION
         assert "validation" in capsys.readouterr().err
 
+    def test_untrimmed_top_without_a_limit(self, tmp_path):
+        # b = 0 is admissible without a policy limit, and the fit must
+        # honour what validation accepted
+        model = lf.GroundUpLognormal(w0=0.0, theta=9.4, sigma=1.6)
+        policy = lf.PolicySpec(c=1.0, d=500.0, u=math.inf)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((10, 2))))
+        sample = generate_sample(model, policy, PaymentKind.PER_PAYMENT, 800, rng)
+        path = tmp_path / "unlimited.csv"
+        _write_payment_csv(path, sample)
+        out = tmp_path / "fit.json"
+        code = main(["fit", "--data", str(path), "--variant", "y",
+                     "--deductible", "500", "--w0", "0", "--method", "mtm",
+                     "--a", "0.05", "--b", "0", "--format", "json", "--out", str(out)])
+        assert code == EXIT_OK
+        row = json.loads(out.read_text())["rows"][0]
+        assert row["validation"] == "pass"
+        assert 0 < row["are_vs_mle"] < 1.001
+
     def test_force_marks_the_row(self, payment_csv, tmp_path):
         path, _ = payment_csv
         out = tmp_path / "fit.json"

@@ -51,13 +51,18 @@ class TestAreTable:
         for b in (0.05, 0.10):
             assert table.value(0.05, b) >= table.value(0.25, b)
 
-    def test_per_cell_errors_do_not_abort(self, design_model, policy_u2e5):
-        grid = (lf.TrimSpec(0.10, 0.10), lf.TrimSpec(0.10, 1e-7))
-        req = lf.AreRequest(model=design_model, policy=policy_u2e5,
-                            variant=PaymentKind.PER_LOSS, grid=grid)
+    def test_per_cell_errors_do_not_abort(self):
+        # a deductible 40 standard deviations above the location leaves a
+        # truncation share that no trimming window with b > 0 can resolve
+        # in double precision, while the untrimmed cell stays computable
+        model = lf.GroundUpLognormal(w0=0.0, theta=0.0, sigma=1.0)
+        policy = lf.PolicySpec(c=1.0, d=math.exp(40.0), u=math.inf)
+        grid = (lf.TrimSpec(0.0, 0.0), lf.TrimSpec(0.0, 0.1))
+        req = lf.AreRequest(model=model, policy=policy,
+                            variant=PaymentKind.PER_PAYMENT, grid=grid)
         table = lf.are_table(req)
-        assert (0.10, 0.10) in table.cells
-        assert (0.10, 1e-7) in table.errors
+        assert (0.0, 0.0) in table.cells
+        assert table.errors[(0.0, 0.1)].startswith("DomainError")
         csv_text = table.to_csv_string()
         assert "NA" in csv_text
 

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import lossfit as lf
-from lossfit.errors import DomainError, TrimValidationError
-from lossfit.mtm import _c_star_y
+import quadrature
+from lossfit.errors import ConvergenceError, DomainError, TrimValidationError
 from lossfit.payments import PaymentKind
 from lossfit.simulation import generate_sample
+
+COEFFICIENTS = ("c1", "c2", "c3", "c4", "c1_star", "c2_star", "c3_star")
 
 
 def _y_sample(values, policy, w0=1.0):
@@ -149,11 +151,56 @@ class TestCoefficientsY:
         assert cset.dc1_dsigma == pytest.approx(gamma * cset.dc1_dtheta,
                                                 rel=1e-12)
 
-    def test_endpoint_guard(self):
-        with pytest.raises(DomainError):
-            lf.coeff_c_y(-1.0, lf.TrimSpec(0.1, 0.0))
+    @pytest.mark.parametrize("a,b", [(0.0, 0.05), (0.05, 0.1), (0.1, 0.25)])
+    @pytest.mark.parametrize("gamma", [-3.0, -0.6, 0.0, 1.5])
+    def test_closed_forms_match_quadrature(self, gamma, a, b):
+        sigma = 2.0
+        cset = lf.coeff_c_y(gamma, lf.TrimSpec(a, b), sigma=sigma)
+        for k in (1, 2, 3, 4):
+            assert getattr(cset, f"c{k}") == pytest.approx(
+                quadrature.c_y(gamma, a, b, k), abs=1e-12)
+        for k in (1, 2):
+            assert getattr(cset, f"dc{k}_dtheta") == pytest.approx(
+                quadrature.dc_y_dtheta(gamma, a, b, k, sigma), rel=1e-10)
+        stars = quadrature.c_star_y(gamma, a, b)
+        for k in (1, 2, 3):
+            assert getattr(cset, f"c{k}_star") == pytest.approx(stars[k - 1],
+                                                                rel=1e-10)
+
+    def test_zero_upper_fraction_is_analytic_limit(self):
+        # b = 0 is the limit of the window as it reaches the top of the
+        # support, not a singular endpoint
+        gamma = -1.0
+        cset = lf.coeff_c_y(gamma, lf.TrimSpec(0.1, 0.0))
+        for k in (1, 2, 3, 4):
+            assert getattr(cset, f"c{k}") == pytest.approx(
+                quadrature.c_y(gamma, 0.1, 0.0, k), abs=1e-8)
+        for k in (1, 2):
+            assert getattr(cset, f"dc{k}_dtheta") == pytest.approx(
+                quadrature.dc_y_dtheta(gamma, 0.1, 0.0, k), abs=1e-8)
+        near = lf.coeff_c_y(gamma, lf.TrimSpec(0.1, 1e-14))
+        for name in COEFFICIENTS + ("dc1_dtheta", "dc2_dtheta"):
+            assert getattr(cset, name) == pytest.approx(getattr(near, name), abs=1e-9)
         with pytest.raises(DomainError):
             lf.coeff_c_y(-math.inf, lf.TrimSpec(0.1, 0.1))
+
+    @pytest.mark.parametrize("gamma", [8.0, 9.0, 15.0, 30.0])
+    def test_stable_far_in_the_right_tail(self, gamma):
+        # the naive quantile(s + (1 - s) cdf(gamma)) rounds to quantile(1)
+        # here; the window ends are read from the right tail instead
+        th = lf.NormalThresholds(t=gamma, T=math.inf, R=math.inf)
+        for a, b in ((0.0, 0.05), (0.05, 0.1), (0.1, 0.25)):
+            trim = lf.TrimSpec(a, b)
+            cset = lf.coeff_c_y(gamma, trim)
+            assert all(math.isfinite(getattr(cset, name)) for name in COEFFICIENTS)
+            z_a = gamma if a == 0.0 else -lf.std_normal_quantile(
+                (1 - a) * lf.std_normal_sf(gamma))
+            z_b = -lf.std_normal_quantile(b * lf.std_normal_sf(gamma))
+            assert z_a <= cset.c1 <= z_b
+            assert cset.c2 > cset.c1 ** 2
+            cov = lf.cov_mtm_y(0.0, 1.0, th, trim)
+            assert np.all(np.isfinite(cov))
+            assert np.all(np.linalg.eigvalsh(cov) > 0)
 
 
 class TestCoefficientsComplete:
@@ -166,20 +213,30 @@ class TestCoefficientsComplete:
     def test_closed_form_stars_match_double_integrals(self, a, b):
         trim = lf.TrimSpec(a, b)
         closed = lf.coeff_c_complete(trim)
-        direct = _c_star_y(-math.inf, trim, None)
+        direct = quadrature.c_star_y(-math.inf, a, b)
         assert closed.c1_star == pytest.approx(direct[0], abs=1e-6)
         assert closed.c2_star == pytest.approx(direct[1], abs=1e-6)
         assert closed.c3_star == pytest.approx(direct[2], abs=1e-6)
 
-    def test_endpoint_guard(self):
-        with pytest.raises(DomainError):
-            lf.coeff_c_complete(lf.TrimSpec(0.0, 0.1))
+    def test_zero_fractions_are_analytic_limits(self):
+        cset = lf.coeff_c_complete(lf.TrimSpec(0.0, 0.1))
+        for k in (1, 2, 3, 4):
+            assert getattr(cset, f"c{k}") == pytest.approx(
+                quadrature.c_y(-math.inf, 0.0, 0.1, k), abs=1e-8)
+        near = lf.coeff_c_complete(lf.TrimSpec(1e-14, 0.1))
+        for name in COEFFICIENTS:
+            assert getattr(cset, name) == pytest.approx(getattr(near, name), abs=1e-9)
+        # no trimming at all: plain standard normal moments, and the stars
+        # are var(Z), cov(Z, Z^2) / 2 and var(Z^2) / 4
+        untrimmed = lf.coeff_c_complete(lf.TrimSpec(0.0, 0.0))
+        for name, want in zip(COEFFICIENTS, (0.0, 1.0, 0.0, 3.0, 1.0, 0.0, 0.5)):
+            assert getattr(untrimmed, name) == pytest.approx(want, abs=1e-12)
 
 
 class TestStarCoefficientLimit:
     def test_variance_integrals_reduce_to_complete_data(self):
         trim = lf.TrimSpec(0.1, 0.1)
-        far = _c_star_y(-20.0, trim, None)
+        far = quadrature.c_star_y(-20.0, 0.1, 0.1)
         complete = lf.coeff_c_complete(trim)
         assert far[0] == pytest.approx(complete.c1_star, abs=1e-6)
         assert far[1] == pytest.approx(complete.c2_star, abs=1e-6)
@@ -240,6 +297,23 @@ class TestFitMtmY:
         theta_closed = mu1 - complete.c1 * sigma_closed
         assert plugin.sigma_hat == pytest.approx(sigma_closed, rel=1e-9)
         assert plugin.theta_hat == pytest.approx(theta_closed, rel=1e-9)
+
+    @pytest.mark.xfail(
+        strict=True, raises=ConvergenceError,
+        reason="the fixed point contracts too slowly on this sample and stops "
+               "after 200 passes even with exact coefficients; ROADMAP open "
+               "item 3 replaces it with a safeguarded scalar root in gamma")
+    def test_slowly_contracting_sample_converges(self, design_model,
+                                                 policy_u2e5):
+        # the first (n = 500) sample of replication 82 of a study seeded
+        # 3109143429, drawn exactly as simulation._run_replication draws it
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=(3109143429, 82))))
+        sample = generate_sample(design_model, policy_u2e5,
+                                 PaymentKind.PER_PAYMENT, 500, rng)
+        fit = lf.fit_mtm_y(sample, lf.TrimSpec(0.0, 0.25), validate=False,
+                           with_cov=False)
+        assert fit.converged
 
     def test_empirical_validation_enforced(self, design_model, policy_u2e5):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((6, 4))))

@@ -1,4 +1,9 @@
-"""Special functions, quadrature, and root finders."""
+"""Special functions and root finders, plus the quadrature oracles.
+
+``integrate_1d`` and ``integrate_2d_square`` live in ``tests/quadrature.py``
+as the reference the closed-form trimming coefficients are checked
+against, so their own accuracy is pinned here.
+"""
 import math
 
 import numpy as np
@@ -7,16 +12,12 @@ import pytest
 from lossfit.errors import (
     ConvergenceError,
     DomainError,
-    IntegrationError,
     NoSolutionError,
     SingularMatrixError,
 )
 from lossfit.numerics import (
     std_normal_sf,
-    QuadratureSpec,
     SolverSpec,
-    integrate_1d,
-    integrate_2d_square,
     normal_hazard,
     solve_2d,
     solve_monotone_scalar,
@@ -24,6 +25,7 @@ from lossfit.numerics import (
     std_normal_pdf,
     std_normal_quantile,
 )
+from quadrature import IntegrationError, QuadratureSpec, integrate_1d, integrate_2d_square
 
 
 class TestStdNormalPdf:
@@ -273,6 +275,13 @@ class TestSolve2d:
         root = solve_2d(func, (1.2, 0.8))
         assert root.x == pytest.approx((1.0, 1.0), abs=1e-9)
         assert root.iterations <= 8  # quadratic convergence from a close start
+        assert root.residual <= 1e-10
+
+    def test_overflowing_residual_norm_raises_no_warning(self):
+        # entries near 1e160 are finite, but their squared norm overflows;
+        # the configured filter turns any RuntimeWarning into a failure
+        root = solve_2d(lambda x: (1e160 * (x[0] - 1.0), x[1] - 2.0), (0.0, 0.0))
+        assert root.x == pytest.approx((1.0, 2.0), abs=1e-12)
         assert root.residual <= 1e-10
 
     def test_singular_jacobian(self):

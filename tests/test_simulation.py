@@ -157,6 +157,19 @@ class TestRunStudy:
         assert cell.flagged
         assert result.warnings
 
+    def test_untrimmed_top_on_unlimited_contract(self, design_model,
+                                                 policy_unlimited):
+        trim = lf.TrimSpec(0.05, 0.0)
+        config = _tiny_config(design_model, policy_unlimited,
+                              PaymentKind.PER_PAYMENT,
+                              (EstimatorSpec("mle"), EstimatorSpec("mtm", trim)),
+                              reps=10)
+        result = run_study(config)
+        label = EstimatorSpec("mtm", trim).label
+        assert result.cell(label, 60).n_excluded == 0
+        assert result.cell(label, 60).n_used == 10
+        assert 0.0 < result.are_limit[label] < 1.0
+
     def test_mean_ratio_standard_errors_reported(self, design_model,
                                                  policy_u2e5):
         config = _tiny_config(design_model, policy_u2e5,
