@@ -25,6 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from ._variants import VARIANTS
 from .efficiency import AreRequest, are_pair, are_table
 from .errors import (
     ConvergenceError,
@@ -36,25 +37,16 @@ from .errors import (
     TrimValidationError,
 )
 from .gof import ks_statistic
-from .mle import FitResult, fit_mle_y, fit_mle_z, loglik_y, loglik_z
-from .mtm import (
-    TrimSpec,
-    cov_mtm_y,
-    cov_mtm_z,
-    fit_mtm_y,
-    fit_mtm_y_plugin,
-    fit_mtm_z,
-    validate_trim_y,
-    validate_trim_z,
-)
+from .mle import FitResult
+from .mtm import TrimSpec
 from .payments import (
     GroundUpLognormal,
+    PaymentDistribution,
     PaymentKind,
     PaymentSample,
     PolicySpec,
     transform_to_normal,
 )
-from .mle import cov_mle_y, cov_mle_z
 from .simulation import StudyConfig, run_study
 
 EXIT_OK = 0
@@ -252,29 +244,13 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def _fit_mle(sample: PaymentSample, level: float) -> FitResult:
-    if sample.kind is PaymentKind.PER_PAYMENT:
-        return fit_mle_y(sample, level=level)
-    return fit_mle_z(sample, level=level)
-
-
-def _mle_covariances(sample: PaymentSample, mle_fit: FitResult):
-    th = sample.thresholds
-    if sample.kind is PaymentKind.PER_PAYMENT:
-        return cov_mle_y(mle_fit.gamma_hat, mle_fit.sigma_hat, th)
-    return cov_mle_z(mle_fit.gamma_hat, mle_fit.sigma_hat, th)
-
-
 def _estimated_are(sample: PaymentSample, mle_fit: FitResult,
                    trim: TrimSpec) -> float:
     """Efficiency of the trimmed estimator evaluated at the MLE parameters."""
+    entry = VARIANTS[sample.kind]
     th = sample.thresholds
-    s_mle = _mle_covariances(sample, mle_fit)
-    if sample.kind is PaymentKind.PER_PAYMENT:
-        s_alt = cov_mtm_y(mle_fit.theta_hat, mle_fit.sigma_hat, th, trim)
-    else:
-        s_alt = cov_mtm_z(mle_fit.sigma_hat, trim)
-    return are_pair(s_mle, s_alt)
+    return are_pair(entry.cov_mle(mle_fit.gamma_hat, mle_fit.sigma_hat, th),
+                    entry.cov_mtm(mle_fit.theta_hat, mle_fit.sigma_hat, th, trim))
 
 
 def _fit_row(sample: PaymentSample, fit: FitResult, method: str,
@@ -294,9 +270,7 @@ def _fit_row(sample: PaymentSample, fit: FitResult, method: str,
     row["ks_statistic"] = round(ks.statistic, 4)
     row["ks_decision"] = ks.decision
     if trim is not None:
-        validate = validate_trim_y if sample.kind is PaymentKind.PER_PAYMENT \
-            else validate_trim_z
-        verdict = validate(sample, trim, fit)
+        verdict = VARIANTS[sample.kind].validate_trim(sample, trim, fit)
         cov = verdict.coverage
         if sample.kind is PaymentKind.PER_PAYMENT:
             row["s_star_emp"] = round(cov.s_star_empirical, 4)
@@ -315,29 +289,24 @@ def _fit_row(sample: PaymentSample, fit: FitResult, method: str,
 
 def cmd_fit(args) -> int:
     sample = _ingest(args)
-    mle_fit = _fit_mle(sample, args.level)
+    entry = VARIANTS[sample.kind]
+    if args.method != "mle":
+        fitter = entry.mtm_fitter(args.method)
+        if args.b is None:
+            raise DomainError("--b is required for trimmed-moment methods")
+        trim = TrimSpec(args.a, args.b)
+    mle_fit = entry.fit_mle(sample, level=args.level)
     rows = []
     if args.method == "mle":
         rows.append(_fit_row(sample, mle_fit, "mle", None, 1.0,
                              args.ks_level, forced=False))
     else:
-        if args.b is None:
-            raise DomainError("--b is required for trimmed-moment methods")
-        trim = TrimSpec(args.a, args.b)
-        validate = validate_trim_y if sample.kind is PaymentKind.PER_PAYMENT \
-            else validate_trim_z
-        pre = validate(sample, trim)
+        pre = entry.validate_trim(sample, trim)
         if not pre.empirical_passed and not args.force:
             print("window validation failed: " + "; ".join(pre.messages),
                   file=sys.stderr)
             return EXIT_VALIDATION
-        if sample.kind is PaymentKind.PER_PAYMENT:
-            fitter = fit_mtm_y if args.method == "mtm" else fit_mtm_y_plugin
-            fit = fitter(sample, trim, level=args.level, validate=False)
-        else:
-            if args.method == "mtm-plugin":
-                raise DomainError("mtm-plugin applies to per-payment data only")
-            fit = fit_mtm_z(sample, trim, level=args.level, validate=False)
+        fit = fitter(sample, trim, level=args.level, validate=False)
         are = _estimated_are(sample, mle_fit, trim)
         rows.append(_fit_row(sample, fit, args.method, trim, are,
                              args.ks_level, forced=not pre.empirical_passed))
@@ -398,12 +367,10 @@ def cmd_diagnostics(args) -> int:
                         iterations=0, converged=True, method="given")
         start = (gamma_hat, args.sigma)
     else:
-        fit = _fit_mle(sample, 0.95)
+        fit = VARIANTS[sample.kind].fit_mle(sample, level=0.95)
         start = fit.extras.get("start", (fit.gamma_hat, fit.sigma_hat))
 
     # QQ pairs: empirical order statistics against fitted quantiles
-    from .payments import PaymentDistribution
-
     model = GroundUpLognormal(w0=0.0, theta=fit.theta_hat, sigma=fit.sigma_hat)
     dist = PaymentDistribution(model, sample.policy, sample.kind,
                                thresholds=sample.thresholds)
@@ -417,7 +384,7 @@ def cmd_diagnostics(args) -> int:
     _write_out(qq.getvalue(), args.qq_out)
 
     # log-likelihood surface on a rectangle around the maximum
-    loglik = loglik_y if sample.kind is PaymentKind.PER_PAYMENT else loglik_z
+    loglik = VARIANTS[sample.kind].loglik
     g_lo = args.gamma_min if args.gamma_min is not None else fit.gamma_hat - 1.0
     g_hi = args.gamma_max if args.gamma_max is not None else fit.gamma_hat + 1.0
     s_lo = args.sigma_min if args.sigma_min is not None else fit.sigma_hat * 0.5

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._variants import VARIANTS
 from .errors import DomainError, SingularMatrixError
-from .mle import cov_mle_y, cov_mle_z
-from .mtm import TrimSpec, cov_mtm_y, cov_mtm_z
+from .mtm import TrimSpec
 from .payments import GroundUpLognormal, PaymentKind, PolicySpec, derive_thresholds
 
 __all__ = [
@@ -46,9 +46,7 @@ def mle_asymptotic_cov(model: GroundUpLognormal, policy: PolicySpec,
     """MLE covariance of (theta, sigma) at the model's true parameters."""
     th = derive_thresholds(policy, model.w0)
     gamma = (th.t - model.theta) / model.sigma
-    if variant is PaymentKind.PER_PAYMENT:
-        return cov_mle_y(gamma, model.sigma, th)
-    return cov_mle_z(gamma, model.sigma, th)
+    return VARIANTS[variant].cov_mle(gamma, model.sigma, th)
 
 
 @dataclass(frozen=True)
@@ -124,15 +122,13 @@ def are_table(req: AreRequest) -> AreTable:
     model, policy = req.model, req.policy
     th = derive_thresholds(policy, model.w0)
     s_mle = mle_asymptotic_cov(model, policy, req.variant)
+    cov_mtm = VARIANTS[req.variant].cov_mtm
     cells: dict[tuple[float, float], float] = {}
     errors: dict[tuple[float, float], str] = {}
     for trim in req.grid:
         key = (trim.a, trim.b)
         try:
-            if req.variant is PaymentKind.PER_PAYMENT:
-                s_alt = cov_mtm_y(model.theta, model.sigma, th, trim)
-            else:
-                s_alt = cov_mtm_z(model.sigma, trim)
+            s_alt = cov_mtm(model.theta, model.sigma, th, trim)
             cells[key] = are_pair(s_mle, s_alt)
         except Exception as exc:  # noqa: BLE001 - per-cell isolation is the contract
             errors[key] = f"{type(exc).__name__}: {exc}"

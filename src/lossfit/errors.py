@@ -45,15 +45,17 @@ class NoMleError(EstimationError):
 class ConvergenceError(EstimationError):
     """An iterative solver stopped before meeting its residual tolerance.
 
-    Carries the last iterate, the residual norm there, and the number of
-    iterations spent.
+    Carries the last iterate (a float, or a tuple of floats), the residual
+    norm there, and the number of iterations spent.
     """
 
     def __init__(self, message: str, last=None, residual: float | None = None,
                  iterations: int | None = None):
         super().__init__(message)
+        if last is not None:  # plain floats, never numpy scalars
+            last = tuple(map(float, last)) if hasattr(last, "__len__") else float(last)
         self.last = last
-        self.residual = residual
+        self.residual = None if residual is None else float(residual)
         self.iterations = iterations
 
 

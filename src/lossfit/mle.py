@@ -6,6 +6,13 @@ recovered through ``theta = t - sigma * gamma``.  The estimating systems
 are solved by damped Newton iteration on ``(gamma, log sigma)`` — the log
 parameterization keeps ``sigma`` positive without constraints.
 
+Per-loss data are per-payment data plus a Binomial(n, cdf(gamma)) count
+of zeros, so both variants share one algebra.  The per-loss
+log-likelihood is the per-payment one of the nonzero records plus
+``n0 log cdf(gamma) + (n - n0) log sf(gamma)``; the per-loss information
+is ``sf(gamma)`` times the per-payment one plus ``pdf^2 / (cdf sf)`` in
+the (gamma, gamma) entry.  Only these terms depend on the variant.
+
 Asymptotic covariances come from the expected information of a single
 observation, mapped to ``(theta, sigma)`` by the delta method.  Reported
 covariances are evaluated at the fitted parameter values.
@@ -132,43 +139,43 @@ def _check_sigma(sigma: float) -> None:
         raise DomainError("sigma must be strictly positive")
 
 
+def _require_kind(sample: PaymentSample, kind: PaymentKind, name: str) -> None:
+    if sample.kind is not kind:
+        raise DomainError(f"{name} expects a {kind.value} sample")
+
+
 def _xi_of(gamma: float, sigma: float, th: NormalThresholds) -> float:
     return gamma + th.R / sigma if math.isfinite(th.T) else math.inf
 
 
+def _loglik(gamma: float, sigma: float, sample: PaymentSample) -> float:
+    """Log-likelihood of either variant: the sample's truncation term plus
+    the interior densities and the censored records."""
+    _check_sigma(sigma)
+    if sample.kind is PaymentKind.PER_PAYMENT:
+        ll = -sample.n * std_normal_log_sf(gamma)  # left truncation at t
+    else:
+        # binomial count of zeros
+        ll = sample.n0 * std_normal_log_cdf(gamma) if sample.n0 > 0 else 0.0
+    n1, n2 = sample.n1, sample.n2
+    ll += -0.5 * n1 * math.log(2.0 * math.pi) - n1 * math.log(sigma)
+    if n2 > 0:
+        ll += n2 * std_normal_log_sf(_xi_of(gamma, sigma, sample.thresholds))
+    scaled = sample.interior_values / (sample.policy.c * sigma)
+    ll -= 0.5 * float(np.sum((gamma + scaled) ** 2))
+    return ll
+
+
 def loglik_y(gamma: float, sigma: float, sample: PaymentSample) -> float:
     """Log-likelihood of a per-payment sample at ``(gamma, sigma)``."""
-    _check_sigma(sigma)
-    if sample.kind is not PaymentKind.PER_PAYMENT:
-        raise DomainError("loglik_y expects a per-payment sample")
-    th = sample.thresholds
-    c = sample.policy.c
-    interior = sample.interior_values
-    n, n1, n2 = sample.n, sample.n1, sample.n2
-    ll = -0.5 * n1 * math.log(2.0 * math.pi) - n * std_normal_log_sf(gamma) \
-        - n1 * math.log(sigma)
-    if n2 > 0:
-        ll += n2 * std_normal_log_sf(_xi_of(gamma, sigma, th))
-    ll -= 0.5 * float(np.sum((gamma + interior / (c * sigma)) ** 2))
-    return ll
+    _require_kind(sample, PaymentKind.PER_PAYMENT, "loglik_y")
+    return _loglik(gamma, sigma, sample)
 
 
 def loglik_z(gamma: float, sigma: float, sample: PaymentSample) -> float:
     """Log-likelihood of a per-loss sample at ``(gamma, sigma)``."""
-    _check_sigma(sigma)
-    if sample.kind is not PaymentKind.PER_LOSS:
-        raise DomainError("loglik_z expects a per-loss sample")
-    th = sample.thresholds
-    c = sample.policy.c
-    interior = sample.interior_values
-    n0, n1, n2 = sample.n0, sample.n1, sample.n2
-    ll = -0.5 * n1 * math.log(2.0 * math.pi) - n1 * math.log(sigma)
-    if n0 > 0:
-        ll += n0 * std_normal_log_cdf(gamma)
-    if n2 > 0:
-        ll += n2 * std_normal_log_sf(_xi_of(gamma, sigma, th))
-    ll -= 0.5 * float(np.sum((gamma + interior / (c * sigma)) ** 2))
-    return ll
+    _require_kind(sample, PaymentKind.PER_LOSS, "loglik_z")
+    return _loglik(gamma, sigma, sample)
 
 
 def _system_residuals(gamma: float, sigma: float, stats: MomentSummary,
@@ -234,8 +241,7 @@ def fit_mle_y(sample: PaymentSample, solver: SolverSpec | None = None,
     and ``gamma`` from the standardized mean.  A degenerate spread falls
     back to ten percent of the mean.
     """
-    if sample.kind is not PaymentKind.PER_PAYMENT:
-        raise DomainError("fit_mle_y expects a per-payment sample")
+    _require_kind(sample, PaymentKind.PER_PAYMENT, "fit_mle_y")
     solver = solver or SolverSpec()
     stats = MomentSummary.from_sample(sample)
     if stats.n1 < 2:
@@ -265,8 +271,7 @@ def fit_mle_z(sample: PaymentSample, solver: SolverSpec | None = None,
     values.  Samples with censored records but no zeros reuse the
     moment-based start of the per-payment fit.
     """
-    if sample.kind is not PaymentKind.PER_LOSS:
-        raise DomainError("fit_mle_z expects a per-loss sample")
+    _require_kind(sample, PaymentKind.PER_LOSS, "fit_mle_z")
     solver = solver or SolverSpec()
     stats = MomentSummary.from_sample(sample)
     if stats.n1 < 2:
@@ -329,59 +334,63 @@ def _band_quantities(gamma: float, xi: float):
 
 
 def _curvature(gamma: float, xi: float, kind: PaymentKind):
-    """The three curvature terms of the per-observation expected Hessian."""
+    """Curvature terms of the per-observation expected Hessian, and their weight.
+
+    Returns ``(lam, weight, (g1, g2, g3))``; the information in
+    ``(gamma, sigma)`` is ``-weight * [[g1, g2/sigma], [g2/sigma,
+    g3/sigma^2]]``.  A per-loss observation is a per-payment one with
+    probability ``sf(gamma)``, plus the binomial indicator of a zero: the
+    weight gains the factor ``sf(gamma)`` and ``g1`` the binomial term,
+    which adds ``pdf^2 / (cdf sf)`` to the (gamma, gamma) entry.
+    """
     lam, o1, o2 = _band_quantities(gamma, xi)
-    lower = normal_hazard(gamma) if kind is PaymentKind.PER_PAYMENT \
-        else normal_hazard(-gamma)
-    sign = -1.0 if kind is PaymentKind.PER_PAYMENT else 1.0
+    lower = normal_hazard(gamma)
     if math.isfinite(xi):
         upper = normal_hazard(xi)
         rs = xi - gamma  # R / sigma
-        g1 = -(1.0 + gamma * o1 - xi * o2 + sign * lower * o1 + upper * o2)
+        g1 = -(1.0 + gamma * o1 - xi * o2 - lower * o1 + upper * o2)
         g2 = rs * o2 * (upper - xi) + (o1 - o2 - gamma)
         g3 = rs ** 2 * o2 * (xi - upper) - (2.0 - gamma * (o1 - o2 - gamma) - o2 * rs)
     else:
-        g1 = -(1.0 + gamma * o1 + sign * lower * o1)
+        g1 = -(1.0 + gamma * o1 - lower * o1)
         g2 = o1 - gamma
         g3 = -(2.0 - gamma * (o1 - gamma))
-    return lam, (g1, g2, g3)
+    if kind is PaymentKind.PER_PAYMENT:
+        return lam, lam, (g1, g2, g3)
+    # lam sf o1 = pdf(gamma) and pdf / (cdf sf) = hazard(gamma) + hazard(-gamma),
+    # so this adds pdf^2 / (cdf sf) to the (gamma, gamma) information
+    g1 -= o1 * (lower + normal_hazard(-gamma))
+    return lam, lam * std_normal_sf(gamma), (g1, g2, g3)
+
+
+def _fisher(gamma: float, sigma: float, thresholds: NormalThresholds,
+            kind: PaymentKind) -> tuple[FisherComponents, np.ndarray]:
+    _check_sigma(sigma)
+    lam, weight, comps = _curvature(gamma, _xi_of(gamma, sigma, thresholds), kind)
+    g1, g2, g3 = comps
+    info = -weight * np.array([[g1, g2 / sigma], [g2 / sigma, g3 / sigma ** 2]])
+    return FisherComponents(lam=lam, components=comps, kind=kind), info
 
 
 def fisher_y(gamma: float, sigma: float,
              thresholds: NormalThresholds) -> tuple[FisherComponents, np.ndarray]:
     """Expected information per observation for the per-payment variable."""
-    _check_sigma(sigma)
-    xi = _xi_of(gamma, sigma, thresholds)
-    lam, comps = _curvature(gamma, xi, PaymentKind.PER_PAYMENT)
-    r1, r2, r3 = comps
-    info = -lam * np.array([[r1, r2 / sigma], [r2 / sigma, r3 / sigma ** 2]])
-    return FisherComponents(lam=lam, components=comps,
-                            kind=PaymentKind.PER_PAYMENT), info
+    return _fisher(gamma, sigma, thresholds, PaymentKind.PER_PAYMENT)
 
 
 def fisher_z(gamma: float, sigma: float,
              thresholds: NormalThresholds) -> tuple[FisherComponents, np.ndarray]:
     """Expected information per observation for the per-loss variable."""
-    _check_sigma(sigma)
-    xi = _xi_of(gamma, sigma, thresholds)
-    lam, comps = _curvature(gamma, xi, PaymentKind.PER_LOSS)
-    p1, p2, p3 = comps
-    scale = lam * std_normal_sf(gamma)
-    info = -scale * np.array([[p1, p2 / sigma], [p2 / sigma, p3 / sigma ** 2]])
-    return FisherComponents(lam=lam, components=comps,
-                            kind=PaymentKind.PER_LOSS), info
+    return _fisher(gamma, sigma, thresholds, PaymentKind.PER_LOSS)
 
 
 def _cov_from_xi(gamma: float, xi: float, sigma: float,
                  kind: PaymentKind) -> np.ndarray:
-    lam, comps = _curvature(gamma, xi, kind)
-    g1, g2, g3 = comps
+    _, weight, (g1, g2, g3) = _curvature(gamma, xi, kind)
     disc = g1 * g3 - g2 ** 2
     if disc == 0.0 or not math.isfinite(disc):
         raise SingularMatrixError("information components are singular")
-    prefactor = 1.0 / (lam * disc)
-    if kind is PaymentKind.PER_LOSS:
-        prefactor /= std_normal_sf(gamma)
+    prefactor = 1.0 / (weight * disc)
     inner = np.array([[-g3, sigma * g2], [sigma * g2, -sigma ** 2 * g1]])
     dmat = np.array([[-sigma, -gamma], [0.0, 1.0]])
     cov = prefactor * dmat @ inner @ dmat.T
@@ -464,7 +473,7 @@ def fit_left_truncated(sample: PaymentSample, solver: SolverSpec | None = None,
     gamma_hat, sigma_hat = _left_truncated_solution(m1, m2, solver)
     extras: dict = {"delta": m2 / m1 ** 2, "global_maximum": True}
 
-    if sample.kind is PaymentKind.PER_LOSS and stats.n0 > 0:
+    if stats.n0 > 0:  # only per-loss samples hold zeros
         try:
             g_ex, s_ex, _, _ = _solve_system(stats, sample.thresholds, c,
                                              sample.kind, gamma_hat, sigma_hat,

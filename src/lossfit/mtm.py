@@ -32,7 +32,7 @@ from .errors import (
     SingularMatrixError,
     TrimValidationError,
 )
-from .mle import FitResult, confidence_intervals
+from .mle import FitResult, _require_kind, confidence_intervals
 from .numerics import (
     SolverSpec,
     normal_hazard,
@@ -211,11 +211,41 @@ def trimmed_sample_moments(sample: PaymentSample, trim: TrimSpec, j: int) -> flo
     """
     if j not in (1, 2):
         raise DomainError("moment order must be 1 or 2")
+    return float(np.mean(_trimmed_window(sample, trim) ** j))
+
+
+def _trimmed_window(sample: PaymentSample, trim: TrimSpec) -> np.ndarray:
+    """The order statistics inside the trimming window, mapped by ``h``."""
     n = sample.n
     m_lo, m_hi = trim.counts(n)
-    window = sample.values[m_lo:n - m_hi]
-    h = window / sample.policy.c + sample.thresholds.t
-    return float(np.mean(h ** j))
+    return sample.values[m_lo:n - m_hi] / sample.policy.c + sample.thresholds.t
+
+
+def _trimmed_moments(sample: PaymentSample,
+                     trim: TrimSpec) -> tuple[float, float, float]:
+    """First two trimmed sample moments and their spread ``mu2 - mu1^2``."""
+    h = _trimmed_window(sample, trim)
+    mu1 = float(np.mean(h))
+    mu2 = float(np.mean(h ** 2))
+    spread = mu2 - mu1 ** 2
+    if spread <= 0.0:
+        raise EstimationError("trimmed moments have no spread; cannot identify sigma")
+    return mu1, mu2, spread
+
+
+def _match_moments(mu1: float, spread: float,
+                   cset: CoefficientSet) -> tuple[float, float]:
+    """``(theta, sigma)`` matching the trimmed mean and spread at fixed coefficients.
+
+    In the model the trimmed mean is ``theta + sigma c1`` and the trimmed
+    spread ``sigma^2 (c2 - c1^2)``.
+    """
+    denom = cset.c2 - cset.c1 ** 2
+    if denom <= 0.0:
+        raise EstimationError(
+            f"degenerate coefficients at gamma={cset.gamma_used:.4g}: c2 <= c1^2")
+    sigma = math.sqrt(spread / denom)
+    return mu1 - cset.c1 * sigma, sigma
 
 
 # ---------------------------------------------------------------------------
@@ -325,18 +355,10 @@ def coeff_c_complete(trim: TrimSpec) -> CoefficientSet:
 # per-payment fit (implicit system)
 # ---------------------------------------------------------------------------
 
-def _mtm_y_moments(sample: PaymentSample, trim: TrimSpec) -> tuple[float, float, float]:
-    mu1 = trimmed_sample_moments(sample, trim, 1)
-    mu2 = trimmed_sample_moments(sample, trim, 2)
-    spread = mu2 - mu1 ** 2
-    if spread <= 0.0:
-        raise EstimationError("trimmed moments have no spread; cannot identify sigma")
-    return mu1, mu2, spread
-
-
-def _require_y(sample: PaymentSample) -> None:
-    if sample.kind is not PaymentKind.PER_PAYMENT:
-        raise DomainError("per-payment trimmed-moment fit expects per-payment data")
+def _require_window(verdict: TrimValidation) -> None:
+    """Raise when the empirical window condition failed."""
+    if not verdict.empirical_passed:
+        raise TrimValidationError("; ".join(verdict.messages))
 
 
 def fit_mtm_y(sample: PaymentSample, trim: TrimSpec,
@@ -356,13 +378,11 @@ def fit_mtm_y(sample: PaymentSample, trim: TrimSpec,
     fitted parameters, with the verdict stored under
     ``extras["validation"]``.
     """
-    _require_y(sample)
+    _require_kind(sample, PaymentKind.PER_PAYMENT, "fit_mtm_y")
     solver = solver or SolverSpec()
     if validate:
-        verdict = validate_trim_y(sample, trim)
-        if not verdict.empirical_passed:
-            raise TrimValidationError("; ".join(verdict.messages))
-    mu1, mu2, spread = _mtm_y_moments(sample, trim)
+        _require_window(validate_trim_y(sample, trim))
+    mu1, _, spread = _trimmed_moments(sample, trim)
     t = sample.thresholds.t
 
     theta = mu1
@@ -372,13 +392,7 @@ def fit_mtm_y(sample: PaymentSample, trim: TrimSpec,
     for it in range(1, solver.max_iterations + 1):
         iterations = it
         gamma = (t - theta) / sigma
-        cset = coeff_c_y(gamma, trim)
-        denom = cset.c2 - cset.c1 ** 2
-        if denom <= 0.0:
-            raise EstimationError(
-                f"degenerate coefficients at gamma={gamma:.4g}: c2 <= c1^2")
-        sigma_new = math.sqrt(spread / denom)
-        theta_new = mu1 - cset.c1 * sigma_new
+        theta_new, sigma_new = _match_moments(mu1, spread, coeff_c_y(gamma, trim))
         if it > 50:
             sigma_new = 0.5 * (sigma + sigma_new)
             theta_new = 0.5 * (theta + theta_new)
@@ -391,8 +405,9 @@ def fit_mtm_y(sample: PaymentSample, trim: TrimSpec,
         raise ConvergenceError("trimmed-moment iteration did not settle",
                                last=(theta, sigma), iterations=iterations)
 
-    return _finish_mtm_y(sample, trim, theta, sigma, iterations, level,
-                         "mtm", validate, with_cov)
+    return _finish_mtm(sample, trim, theta, sigma, iterations, level, "mtm",
+                       cov_mtm_y if with_cov else None,
+                       validate_trim_y if validate else None)
 
 
 def fit_mtm_y_plugin(sample: PaymentSample, trim: TrimSpec,
@@ -405,42 +420,35 @@ def fit_mtm_y_plugin(sample: PaymentSample, trim: TrimSpec,
     the complete-data closed form: no iteration is needed.  The price is a
     small perturbation relative to the fully implicit fit.
     """
-    _require_y(sample)
+    _require_kind(sample, PaymentKind.PER_PAYMENT, "fit_mtm_y_plugin")
     if validate:
-        verdict = validate_trim_y(sample, trim)
-        if not verdict.empirical_passed:
-            raise TrimValidationError("; ".join(verdict.messages))
-    mu1, mu2, spread = _mtm_y_moments(sample, trim)
-    t = sample.thresholds.t
-    sigma0 = math.sqrt(spread)
-    gamma0 = (t - mu1) / sigma0
-    cset = coeff_c_y(gamma0, trim)
-    denom = cset.c2 - cset.c1 ** 2
-    if denom <= 0.0:
-        raise EstimationError(f"degenerate coefficients at gamma={gamma0:.4g}")
-    sigma_hat = math.sqrt(spread / denom)
-    theta_hat = mu1 - cset.c1 * sigma_hat
-    result = _finish_mtm_y(sample, trim, theta_hat, sigma_hat, 0, level,
-                           "mtm-plugin", validate, with_cov)
-    result.extras["frozen_gamma"] = gamma0
-    return result
+        _require_window(validate_trim_y(sample, trim))
+    mu1, _, spread = _trimmed_moments(sample, trim)
+    gamma0 = (sample.thresholds.t - mu1) / math.sqrt(spread)
+    theta_hat, sigma_hat = _match_moments(mu1, spread, coeff_c_y(gamma0, trim))
+    return _finish_mtm(sample, trim, theta_hat, sigma_hat, 0, level,
+                       "mtm-plugin", cov_mtm_y if with_cov else None,
+                       validate_trim_y if validate else None, frozen_gamma=gamma0)
 
 
-def _finish_mtm_y(sample: PaymentSample, trim: TrimSpec, theta: float,
-                  sigma: float, iterations: int, level: float, method: str,
-                  validate: bool, with_cov: bool) -> FitResult:
-    th = sample.thresholds
-    gamma_hat = (th.t - theta) / sigma
+def _finish_mtm(sample: PaymentSample, trim: TrimSpec, theta: float,
+                sigma: float, iterations: int, level: float, method: str,
+                cov, validator, **extras) -> FitResult:
+    """The result of a trimmed-moment fit of either variant.
+
+    ``cov(theta, sigma, thresholds, trim)`` gives the covariance and
+    ``validator`` re-checks the window at the fit; each is skipped when None.
+    """
     result = FitResult(
-        gamma_hat=gamma_hat, sigma_hat=sigma, theta_hat=theta, cov=None,
-        n=sample.n, ci_theta=(math.nan, math.nan), ci_sigma=(math.nan, math.nan),
-        level=level, iterations=iterations, converged=True, method=method,
-        extras={"trim": trim})
-    if with_cov:
-        result.cov = cov_mtm_y(theta, sigma, th, trim)
+        gamma_hat=(sample.thresholds.t - theta) / sigma, sigma_hat=sigma,
+        theta_hat=theta, cov=None, n=sample.n, ci_theta=(math.nan, math.nan),
+        ci_sigma=(math.nan, math.nan), level=level, iterations=iterations,
+        converged=True, method=method, extras={"trim": trim, **extras})
+    if cov is not None:
+        result.cov = cov(theta, sigma, sample.thresholds, trim)
         result.ci_theta, result.ci_sigma = confidence_intervals(result, level)
-    if validate:
-        result.extras["validation"] = validate_trim_y(sample, trim, result)
+    if validator is not None:
+        result.extras["validation"] = validator(sample, trim, result)
     return result
 
 
@@ -489,6 +497,10 @@ def cov_mtm_y(theta: float, sigma: float, thresholds: NormalThresholds,
     sig = np.array([[s11, s12], [s12, s22]])
     cov = dmat @ sig @ dmat.T
     cov = 0.5 * (cov + cov.T)  # exact symmetry despite rounding
+    if not (cov[0, 0] > 0.0 and cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2 > 0.0):
+        raise SingularMatrixError(
+            f"covariance is not positive definite at gamma={gamma:.6g}: its "
+            "terms cancel beyond double precision")
     if return_work:
         work = MtmCovarianceWork(f11=f11, f12=f12, f21=f21, f22=f22, K=kfac,
                                  d11=d11, d12=d12, d21=d21, d22=d22,
@@ -510,39 +522,23 @@ def fit_mtm_z(sample: PaymentSample, trim: TrimSpec,
     records trimmed below, ``n2`` above); the estimator then coincides
     with the complete-data one and needs no iteration.
     """
-    if sample.kind is not PaymentKind.PER_LOSS:
-        raise DomainError("per-loss trimmed-moment fit expects per-loss data")
+    _require_kind(sample, PaymentKind.PER_LOSS, "fit_mtm_z")
     if validate:
-        verdict = validate_trim_z(sample, trim)
-        if not verdict.empirical_passed:
-            raise TrimValidationError("; ".join(verdict.messages))
-    mu1 = trimmed_sample_moments(sample, trim, 1)
-    mu2 = trimmed_sample_moments(sample, trim, 2)
-    spread = mu2 - mu1 ** 2
-    if spread <= 0.0:
-        raise EstimationError("trimmed moments have no spread; cannot identify sigma")
+        _require_window(validate_trim_z(sample, trim))
+    mu1, mu2, spread = _trimmed_moments(sample, trim)
     cset = coeff_c_complete(trim)
-    denom = cset.c2 - cset.c1 ** 2
-    if denom <= 0.0:
-        raise SingularMatrixError("degenerate coefficient spread: c2 <= c1^2")
-    sigma_hat = math.sqrt(spread / denom)
-    theta_hat = mu1 - cset.c1 * sigma_hat
-    th = sample.thresholds
-    gamma_hat = (th.t - theta_hat) / sigma_hat
+    theta_hat, sigma_hat = _match_moments(mu1, spread, cset)
     residual = (abs(mu1 - (theta_hat + cset.c1 * sigma_hat)),
                 abs(mu2 - (theta_hat ** 2 + 2 * theta_hat * sigma_hat * cset.c1
                            + sigma_hat ** 2 * cset.c2)))
-    result = FitResult(
-        gamma_hat=gamma_hat, sigma_hat=sigma_hat, theta_hat=theta_hat, cov=None,
-        n=sample.n, ci_theta=(math.nan, math.nan), ci_sigma=(math.nan, math.nan),
-        level=level, iterations=0, converged=True, method="mtm",
-        extras={"trim": trim, "residual": max(residual)})
-    if with_cov:
-        result.cov = cov_mtm_z(sigma_hat, trim)
-        result.ci_theta, result.ci_sigma = confidence_intervals(result, level)
-    if validate:
-        result.extras["validation"] = validate_trim_z(sample, trim, result)
-    return result
+    return _finish_mtm(sample, trim, theta_hat, sigma_hat, 0, level, "mtm",
+                       _cov_mtm_z if with_cov else None,
+                       validate_trim_z if validate else None, residual=max(residual))
+
+
+def _cov_mtm_z(theta, sigma, thresholds, trim):
+    """``cov_mtm_z`` behind the per-payment signature; only the scale enters."""
+    return cov_mtm_z(sigma, trim)
 
 
 def cov_mtm_z(sigma: float, trim: TrimSpec) -> np.ndarray:
@@ -579,7 +575,7 @@ def validate_trim_y(sample: PaymentSample, trim: TrimSpec,
     share implied by the fitted model.  The count condition
     ``m_upper >= n2`` is enforced alongside.
     """
-    _require_y(sample)
+    _require_kind(sample, PaymentKind.PER_PAYMENT, "validate_trim_y")
     n = sample.n
     s_emp = sample.n1 / n
     messages: list[str] = []
@@ -636,8 +632,7 @@ def validate_trim_z(sample: PaymentSample, trim: TrimSpec,
     count conditions ``m_lower >= n0`` and ``m_upper >= n2`` are enforced
     alongside.
     """
-    if sample.kind is not PaymentKind.PER_LOSS:
-        raise DomainError("validate_trim_z expects a per-loss sample")
+    _require_kind(sample, PaymentKind.PER_LOSS, "validate_trim_z")
     n = sample.n
     fn_t = sample.n0 / n
     fn_T = (sample.n0 + sample.n1) / n

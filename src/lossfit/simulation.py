@@ -8,6 +8,7 @@ reproducible and independent of how replications are scheduled.
 """
 from __future__ import annotations
 
+import functools
 import io
 import math
 import os
@@ -16,18 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._variants import VARIANTS
 from .efficiency import are_pair, finite_re, mle_asymptotic_cov
 from .errors import DomainError, EstimationError, TrimValidationError
-from .mle import fit_mle_y, fit_mle_z
-from .mtm import TrimSpec, cov_mtm_y, cov_mtm_z, fit_mtm_y, fit_mtm_y_plugin, fit_mtm_z
+from .mtm import TrimSpec
 from .payments import (
     GroundUpLognormal,
     PaymentKind,
     PaymentSample,
     PolicySpec,
     derive_thresholds,
-    dist_y,
-    dist_z,
 )
 
 __all__ = [
@@ -47,8 +46,7 @@ def generate_sample(model: GroundUpLognormal, policy: PolicySpec,
                     variant: PaymentKind, n: int,
                     rng: np.random.Generator) -> PaymentSample:
     """Draw a payment sample of size n through the quantile function."""
-    dist = dist_y(model, policy) if variant is PaymentKind.PER_PAYMENT \
-        else dist_z(model, policy)
+    dist = VARIANTS[variant].dist(model, policy)
     u = rng.random(n)
     values = dist.qf(u)
     if variant is PaymentKind.PER_PAYMENT:
@@ -241,44 +239,36 @@ class StudyResult:
         return buf.getvalue()
 
 
-def _fit_one(est: EstimatorSpec, sample: PaymentSample,
-             variant: PaymentKind) -> tuple[float, float] | None:
-    """Fit one estimator; None marks an excluded replication.
+def _fitter(est: EstimatorSpec, variant: PaymentKind):
+    """The study's fit of one estimator, as a function of the sample alone.
 
-    Window validation is not applied here: study configurations satisfy
-    the population-level window condition by design, and per-replication
-    fluctuations of the atom counts must not censor the study.
+    Window validation is not applied: study configurations satisfy the
+    population-level window condition by design, and per-replication
+    fluctuations of the atom counts must not censor the study.  Raises
+    ``DomainError`` for a method the variant does not have.
     """
-    try:
-        if est.method == "mle":
-            fit = fit_mle_y(sample) if variant is PaymentKind.PER_PAYMENT \
-                else fit_mle_z(sample)
-        elif est.method == "mtm":
-            fit = fit_mtm_y(sample, est.trim, validate=False, with_cov=False) \
-                if variant is PaymentKind.PER_PAYMENT \
-                else fit_mtm_z(sample, est.trim, validate=False, with_cov=False)
-        else:
-            if variant is not PaymentKind.PER_PAYMENT:
-                raise DomainError("mtm-plugin applies to per-payment data only")
-            fit = fit_mtm_y_plugin(sample, est.trim, validate=False,
-                                   with_cov=False)
-    except (EstimationError, TrimValidationError):
-        return None
-    return fit.theta_hat, fit.sigma_hat
+    entry = VARIANTS[variant]
+    if est.method == "mle":
+        return entry.fit_mle
+    return functools.partial(entry.mtm_fitter(est.method), trim=est.trim,
+                             validate=False, with_cov=False)
 
 
 def _run_replication(config: StudyConfig, rep: int) -> np.ndarray:
     """All fits of one replication; shape (n_estimators, n_sizes, 2)."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
         entropy=(int(config.seed), int(rep)))))
+    fits = [_fitter(est, config.variant) for est in config.estimators]
     out = np.full((len(config.estimators), len(config.sample_sizes), 2), np.nan)
     for j, n in enumerate(config.sample_sizes):
         sample = generate_sample(config.model, config.policy, config.variant,
                                  n, rng)
-        for i, est in enumerate(config.estimators):
-            fitted = _fit_one(est, sample, config.variant)
-            if fitted is not None:
-                out[i, j, :] = fitted
+        for i, fit in enumerate(fits):
+            try:
+                result = fit(sample)
+            except (EstimationError, TrimValidationError):
+                continue  # an excluded replication: the entry stays NaN
+            out[i, j, :] = result.theta_hat, result.sigma_hat
     return out
 
 
@@ -289,8 +279,12 @@ def run_study(config: StudyConfig, workers: int | None = None) -> StudyResult:
     only, and the per-cell exclusion rate is reported; rates above
     five percent raise a warning flag on the cell.  ``workers`` (default:
     the ``LOSSFIT_WORKERS`` environment variable, else 1) distributes
-    replications across processes without changing any result.
+    replications across processes without changing any result.  An
+    estimator the variant does not have raises ``DomainError`` before any
+    sample is drawn.
     """
+    for est in config.estimators:
+        _fitter(est, config.variant)
     if workers is None:
         workers = int(os.environ.get("LOSSFIT_WORKERS", "1"))
     reps = config.replications
@@ -310,15 +304,10 @@ def run_study(config: StudyConfig, workers: int | None = None) -> StudyResult:
     s_mle = mle_asymptotic_cov(config.model, config.policy, config.variant)
     th = derive_thresholds(config.policy, config.model.w0)
 
-    are_limit: dict[str, float] = {}
-    for est in config.estimators:
-        if est.method == "mle":
-            are_limit[est.label] = 1.0
-        elif config.variant is PaymentKind.PER_PAYMENT:
-            are_limit[est.label] = are_pair(
-                s_mle, cov_mtm_y(theta, sigma, th, est.trim))
-        else:
-            are_limit[est.label] = are_pair(s_mle, cov_mtm_z(sigma, est.trim))
+    cov_mtm = VARIANTS[config.variant].cov_mtm
+    are_limit = {est.label: 1.0 if est.method == "mle"
+                 else are_pair(s_mle, cov_mtm(theta, sigma, th, est.trim))
+                 for est in config.estimators}
 
     cells: list[StudyCell] = []
     warnings: list[str] = []

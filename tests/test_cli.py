@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import lossfit as lf
-from lossfit.cli import EXIT_DATA, EXIT_OK, EXIT_VALIDATION, main
+from lossfit.cli import EXIT_DATA, EXIT_ERROR, EXIT_OK, EXIT_VALIDATION, main
 from lossfit.payments import PaymentKind
 from lossfit.simulation import generate_sample
 
@@ -158,6 +158,15 @@ class TestFit:
         row = json.loads(out.read_text())["rows"][0]
         assert row["validation"] == "pass"
         assert 0 < row["are_vs_mle"] < 1.001
+
+    def test_plugin_rejected_for_per_loss_data(self, payment_csv, capsys):
+        path, _ = payment_csv
+        code = main(["fit", "--data", str(path), "--variant", "z", *BASE,
+                     "--method", "mtm-plugin", "--a", "0.1", "--b", "0.1"])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "mtm-plugin does not apply to per-loss data" in captured.err
 
     def test_force_marks_the_row(self, payment_csv, tmp_path):
         path, _ = payment_csv

@@ -7,6 +7,7 @@ import pytest
 import lossfit as lf
 from lossfit.errors import DomainError, EstimationError, NoMleError
 from lossfit.mle import MomentSummary, _system_residuals
+from lossfit.numerics import std_normal_log_cdf, std_normal_log_sf
 from lossfit.payments import PaymentKind
 from lossfit.simulation import generate_sample
 
@@ -387,6 +388,47 @@ class TestCovLeftTruncated:
         for kind in PaymentKind:
             cov = lf.cov_left_truncated(-1.3, 3.0, kind)
             assert np.all(np.linalg.eigvalsh(cov) > 0)
+
+
+class TestPerLossIsPerPaymentPlusBinomial:
+    """A per-loss sample is its nonzero records, a per-payment sample, plus
+    a Binomial(n, cdf(gamma)) count of zeros."""
+
+    GAMMAS = np.linspace(-3.0, 4.0, 29)
+    SIGMAS = (0.5, 1.0, 3.0)
+
+    @pytest.mark.parametrize("R", [1.0, 3.0, math.inf])
+    def test_loglik(self, R):
+        # t = 0 and T = R on the normal scale
+        policy = lf.PolicySpec(c=0.8, d=1.0, u=math.exp(R))
+        model = lf.GroundUpLognormal(w0=0.0, theta=0.5, sigma=1.0)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((25, 1))))
+        z = generate_sample(model, policy, PaymentKind.PER_LOSS, 400, rng)
+        assert z.n0 > 0 and (z.n2 > 0 or math.isinf(R))
+        nonzero = lf.PaymentSample(kind=PaymentKind.PER_PAYMENT,
+                                   values=z.values[z.n0:], n0=0, n1=z.n1,
+                                   n2=z.n2, policy=policy,
+                                   thresholds=z.thresholds)
+        for gamma in self.GAMMAS:
+            for sigma in self.SIGMAS:
+                expected = (lf.loglik_y(gamma, sigma, nonzero)
+                            + z.n0 * std_normal_log_cdf(gamma)
+                            + (z.n - z.n0) * std_normal_log_sf(gamma))
+                assert lf.loglik_z(gamma, sigma, z) == pytest.approx(
+                    expected, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("R", [1.0, 3.0, math.inf])
+    def test_fisher(self, R):
+        th = lf.NormalThresholds(t=0.0, T=R, R=R)
+        for gamma in self.GAMMAS:
+            sf = lf.std_normal_sf(gamma)
+            binomial = lf.std_normal_pdf(gamma) ** 2 / (lf.std_normal_cdf(gamma) * sf)
+            for sigma in self.SIGMAS:
+                _, info_y = lf.fisher_y(gamma, sigma, th)
+                _, info_z = lf.fisher_z(gamma, sigma, th)
+                expected = sf * info_y
+                expected[0, 0] += binomial
+                np.testing.assert_allclose(info_z, expected, rtol=1e-14, atol=0.0)
 
 
 class TestFitZEdgeCases:

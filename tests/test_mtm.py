@@ -7,7 +7,12 @@ import pytest
 
 import lossfit as lf
 import quadrature
-from lossfit.errors import ConvergenceError, DomainError, TrimValidationError
+from lossfit.errors import (
+    ConvergenceError,
+    DomainError,
+    SingularMatrixError,
+    TrimValidationError,
+)
 from lossfit.payments import PaymentKind
 from lossfit.simulation import generate_sample
 
@@ -302,7 +307,7 @@ class TestFitMtmY:
         strict=True, raises=ConvergenceError,
         reason="the fixed point contracts too slowly on this sample and stops "
                "after 200 passes even with exact coefficients; ROADMAP open "
-               "item 3 replaces it with a safeguarded scalar root in gamma")
+               "item 2 replaces it with a safeguarded scalar root in gamma")
     def test_slowly_contracting_sample_converges(self, design_model,
                                                  policy_u2e5):
         # the first (n = 500) sample of replication 82 of a study seeded
@@ -314,6 +319,19 @@ class TestFitMtmY:
         fit = lf.fit_mtm_y(sample, lf.TrimSpec(0.0, 0.25), validate=False,
                            with_cov=False)
         assert fit.converged
+
+    def test_convergence_error_carries_plain_floats(self, design_model,
+                                                    policy_u2e5):
+        # the same pinned sample; the fit stops with numpy scalars in hand
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=(3109143429, 82))))
+        sample = generate_sample(design_model, policy_u2e5,
+                                 PaymentKind.PER_PAYMENT, 500, rng)
+        with pytest.raises(ConvergenceError) as err:
+            lf.fit_mtm_y(sample, lf.TrimSpec(0.0, 0.25), validate=False,
+                         with_cov=False)
+        assert len(err.value.last) == 2
+        assert all(type(v) is float for v in err.value.last)
 
     def test_empirical_validation_enforced(self, design_model, policy_u2e5):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((6, 4))))
@@ -446,6 +464,22 @@ class TestCovariances:
         assert emp[0, 0] == pytest.approx(work.sigma2_11, rel=0.05)
         assert emp[0, 1] == pytest.approx(work.sigma2_12, rel=0.05)
         assert emp[1, 1] == pytest.approx(work.sigma2_22, rel=0.05)
+
+    @pytest.mark.parametrize("gamma, a, b", [(30.0, 0.0, 0.25), (33.0, 0.1, 0.25),
+                                             (35.0, 0.0, 0.25), (37.0, 0.1, 0.25)])
+    def test_covariance_that_is_not_positive_definite_raises(self, gamma, a, b):
+        # far in the right tail the sandwich terms cancel beyond double
+        # precision; at gamma = 37 with (0.1, 0.25) one eigenvalue is -8.1e10
+        trim = lf.TrimSpec(a, b)
+        th = lf.NormalThresholds(t=gamma, T=math.inf, R=math.inf)
+        with pytest.raises(SingularMatrixError, match="not positive definite"):
+            lf.cov_mtm_y(0.0, 1.0, th, trim)
+        req = lf.AreRequest(model=lf.GroundUpLognormal(w0=0.0, theta=-gamma, sigma=1.0),
+                            policy=lf.PolicySpec(c=1.0, d=1.0, u=math.inf),
+                            variant=PaymentKind.PER_PAYMENT, grid=(trim,))
+        table = lf.are_table(req)
+        assert not table.cells
+        assert "not positive definite" in table.errors[(a, b)]
 
     def test_scale_domain_guard(self):
         with pytest.raises(DomainError):

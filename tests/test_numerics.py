@@ -293,6 +293,7 @@ class TestSolve2d:
             solve_2d(lambda x: (x[0] ** 2 + 1.0, x[1]), (0.5, 0.5),
                      SolverSpec(max_iterations=40))
         assert err.value.last is not None
+        assert all(type(v) is float for v in err.value.last)
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):

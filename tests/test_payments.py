@@ -235,6 +235,24 @@ class TestDistZ:
             lf.std_normal_cdf(dist.std.gamma), rel=1e-12)
         assert dist.cdf(-1e-12) == 0.0
 
+    @pytest.mark.parametrize("R", [1.0, 3.0, math.inf])
+    def test_cdf_is_zero_atom_plus_per_payment_cdf(self, R):
+        # per-loss = per-payment plus a binomial count of zeros:
+        # cdf_z = cdf(gamma) + sf(gamma) cdf_y on (0, cR), with t = 0, T = R
+        policy = lf.PolicySpec(c=0.8, d=1.0, u=math.exp(R))
+        for gamma in np.linspace(-3.0, 4.0, 29):
+            for sigma in (0.5, 1.0, 3.0):
+                model = lf.GroundUpLognormal(w0=0.0, theta=-sigma * gamma,
+                                             sigma=sigma)
+                dist_y, dist_z = lf.dist_y(model, policy), lf.dist_z(model, policy)
+                top = policy.c * (R if math.isfinite(R)
+                                  else abs(model.theta) + 6.0 * sigma)
+                v = np.linspace(0.0, top, 202)[1:-1]
+                g = dist_z.std.gamma
+                expected = lf.std_normal_cdf(g) + lf.std_normal_sf(g) * dist_y.cdf(v)
+                np.testing.assert_allclose(dist_z.cdf(v), expected, rtol=0.0,
+                                           atol=1e-15)
+
     def test_cdf_of_qf(self, design_model, policy_u2e5):
         dist = lf.dist_z(design_model, policy_u2e5)
         p_t = lf.std_normal_cdf(dist.std.gamma)

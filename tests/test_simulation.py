@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import lossfit as lf
+from lossfit import simulation
 from lossfit.errors import DomainError
 from lossfit.payments import PaymentKind
 from lossfit.simulation import EstimatorSpec, StudyConfig, run_study
@@ -169,6 +170,18 @@ class TestRunStudy:
         assert result.cell(label, 60).n_excluded == 0
         assert result.cell(label, 60).n_used == 10
         assert 0.0 < result.are_limit[label] < 1.0
+
+    def test_impossible_estimator_rejected_before_sampling(
+            self, design_model, policy_u2e5, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(simulation, "generate_sample", no_draw)
+        config = _tiny_config(design_model, policy_u2e5, PaymentKind.PER_LOSS,
+                              (EstimatorSpec("mle"),
+                               EstimatorSpec("mtm-plugin", lf.TrimSpec(0.1, 0.1))))
+        with pytest.raises(DomainError, match="mtm-plugin"):
+            run_study(config)
 
     def test_mean_ratio_standard_errors_reported(self, design_model,
                                                  policy_u2e5):
