@@ -22,12 +22,12 @@ class DegenerateBandError(DomainError):
     """The probability band between the truncation and censoring points vanishes."""
 
 
-class NoSolutionError(LossfitError):
-    """A scalar target lies outside the range of the monotone function."""
-
-
 class EstimationError(LossfitError):
     """An estimator could not be computed from the given sample."""
+
+
+class NoSolutionError(EstimationError):
+    """A scalar target lies outside the range of the monotone function."""
 
 
 class NoMleError(EstimationError):

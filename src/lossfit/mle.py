@@ -24,7 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, EstimationError, NoMleError, SingularMatrixError
+from .errors import (
+    DegenerateBandError,
+    DomainError,
+    EstimationError,
+    NoMleError,
+    SingularMatrixError,
+)
 from .numerics import (
     SolverSpec,
     normal_hazard,
@@ -323,6 +329,10 @@ def _band_quantities(gamma: float, xi: float):
     sf_g = std_normal_sf(gamma)
     if math.isfinite(xi):
         band = sf_g - std_normal_sf(xi)
+        if not band > 0.0:
+            raise DegenerateBandError(
+                f"no probability between the standardized truncation point "
+                f"{gamma:.6g} and censoring point {xi:.6g}")
         lam = band / sf_g
         omega1 = std_normal_pdf(gamma) / band
         omega2 = std_normal_pdf(xi) / band

@@ -7,7 +7,8 @@ which buys robustness at a quantifiable efficiency cost.
 
 Per-payment fits (estimation from the uncensored interior only) lead to
 an implicit two-equation system because the population coefficients
-depend on the unknown standardized truncation point; per-loss fits reduce
+depend on the unknown standardized truncation point, and the system
+reduces to one monotone equation in that point; per-loss fits reduce
 to the complete-data closed form once the trimming fractions cover the
 atoms at zero and at the censoring point.  Every coefficient, its
 truncation derivatives and the covariance stars are closed forms in the
@@ -29,6 +30,7 @@ from .errors import (
     ConvergenceError,
     DomainError,
     EstimationError,
+    NoSolutionError,
     SingularMatrixError,
     TrimValidationError,
 )
@@ -233,19 +235,18 @@ def _trimmed_moments(sample: PaymentSample,
     return mu1, mu2, spread
 
 
-def _match_moments(mu1: float, spread: float,
-                   cset: CoefficientSet) -> tuple[float, float]:
+def _match_moments(mu1: float, spread: float, c1: float,
+                   c2: float) -> tuple[float, float]:
     """``(theta, sigma)`` matching the trimmed mean and spread at fixed coefficients.
 
     In the model the trimmed mean is ``theta + sigma c1`` and the trimmed
     spread ``sigma^2 (c2 - c1^2)``.
     """
-    denom = cset.c2 - cset.c1 ** 2
+    denom = c2 - c1 ** 2
     if denom <= 0.0:
-        raise EstimationError(
-            f"degenerate coefficients at gamma={cset.gamma_used:.4g}: c2 <= c1^2")
+        raise EstimationError("degenerate coefficients: c2 <= c1^2")
     sigma = math.sqrt(spread / denom)
-    return mu1 - cset.c1 * sigma, sigma
+    return mu1 - c1 * sigma, sigma
 
 
 # ---------------------------------------------------------------------------
@@ -257,32 +258,28 @@ def _window_end(cdf_t: float, sf_t: float, s: float, one_minus_s: float) -> floa
 
     The right-tail form ``-quantile((1 - s) * sf_t)`` keeps full precision
     when the truncation point lies far in the right tail, where
-    ``cdf_t + s * sf_t`` rounds to one.
+    ``cdf_t + s * sf_t`` rounds to one.  Returned as a plain float, so the
+    arithmetic downstream runs at Python float speed.
     """
     p = cdf_t + s * sf_t
-    return _ndtri(p) if p < 0.5 else -_ndtri(one_minus_s * sf_t)
+    return float(_ndtri(p) if p < 0.5 else -_ndtri(one_minus_s * sf_t))
 
 
-def _weighted_powers(weight: float, z: float) -> list[float]:
-    """``weight * z**j`` for j = 0..4, all zero for a zero weight even at |z| = inf."""
+def _weighted_powers(weight: float, z: float, top: int = 4) -> list[float]:
+    """``weight * z**j`` for j = 0..top, all zero for a zero weight even at |z| = inf."""
     if weight == 0.0:
-        return [0.0] * 5
-    return [weight * z ** j for j in range(5)]
+        return [0.0] * (top + 1)
+    return [weight * z ** j for j in range(top + 1)]
 
 
-def _coefficients(gamma: float, trim: TrimSpec, sigma: float) -> CoefficientSet:
-    """Every trimming coefficient at standardized truncation point gamma.
+def _window(gamma: float, trim: TrimSpec, top: int) -> tuple[float, float, list[float]]:
+    """Window ends ``z_a, z_b`` and the window averages ``c_1..c_top`` at gamma.
 
     Substituting ``z = psi(s)`` turns the window averages into partial
     normal moments over ``[z_a, z_b] = [psi(a), psi(1 - b)]``, which obey
     the recurrence ``M_k = (k-1) M_{k-2} + z_a^(k-1) pdf(z_a) - z_b^(k-1)
     pdf(z_b)`` with ``M_0 = tau * sf(gamma)``; every moment is kept divided
-    by ``sf(gamma)`` so nothing underflows in the right tail.  The
-    variance of a trimmed mean depends on the quantile function only
-    through its window ends (Stigler 1973, Ann. Statist. 1:472), so the
-    stars take the complete-data closed form with ``q_a = z_a`` and
-    ``q_b = z_b``.  ``gamma = -inf`` gives the complete-data case, whose
-    derivatives are left at zero.
+    by ``sf(gamma)`` so nothing underflows in the right tail.
     """
     a, b = trim.a, trim.b
     tau = 1.0 - a - b
@@ -299,12 +296,58 @@ def _coefficients(gamma: float, trim: TrimSpec, sigma: float) -> CoefficientSet:
     def scaled_pdf(z: float) -> float:
         return 0.0 if math.isinf(z) else math.exp(-0.5 * z * z - _LOG_SQRT_2PI - log_sf_t)
 
-    ea, eb = _weighted_powers(scaled_pdf(za), za), _weighted_powers(scaled_pdf(zb), zb)
+    ea = _weighted_powers(scaled_pdf(za), za, top - 1)
+    eb = _weighted_powers(scaled_pdf(zb), zb, top - 1)
     m = [tau, ea[0] - eb[0]]
-    for k in range(2, 5):
+    for k in range(2, top + 1):
         m.append((k - 1) * m[k - 2] + ea[k - 1] - eb[k - 1])
-    c1, c2, c3, c4 = (mk / tau for mk in m[1:])
+    return za, zb, [mk / tau for mk in m[1:]]
 
+
+def _dc_dtheta(gamma: float, trim: TrimSpec, za: float, zb: float, c1: float,
+               c2: float, sigma: float) -> tuple[float, float] | None:
+    """Location derivatives of ``c1`` and ``c2``; None where the hazard vanishes.
+
+    ``dc_k/dgamma = hazard * (b z_b^k - (1 - a) z_a^k + tau c_k) / tau``,
+    and ``gamma = (t - theta) / sigma``.  The hazard vanishes in the
+    complete-data case ``gamma = -inf``.
+    """
+    hazard = normal_hazard(gamma)
+    if not hazard > 0.0:
+        return None
+    a, b = trim.a, trim.b
+    tau = 1.0 - a - b
+    bq = _weighted_powers(b, zb, 2)
+    return (-hazard * (bq[1] - (1.0 - a) * za + tau * c1) / (tau * sigma),
+            -hazard * (bq[2] - (1.0 - a) * za ** 2 + tau * c2) / (tau * sigma))
+
+
+def _pass_coefficients(gamma: float,
+                       trim: TrimSpec) -> tuple[float, float, float, float, float, float]:
+    """``(z_a, z_b, c1, c2, dc1/dgamma, dc2/dgamma)``: all one solver pass reads.
+
+    The same window arithmetic as :func:`_coefficients`, so the values
+    equal ``coeff_c_y``'s bit for bit, without the higher moments and
+    stars that only the covariance needs.
+    """
+    za, zb, (c1, c2) = _window(gamma, trim, 2)
+    d1, d2 = _dc_dtheta(gamma, trim, za, zb, c1, c2, 1.0) or (0.0, 0.0)
+    return za, zb, c1, c2, -d1, -d2
+
+
+def _coefficients(gamma: float, trim: TrimSpec, sigma: float) -> CoefficientSet:
+    """Every trimming coefficient at standardized truncation point gamma.
+
+    ``c1..c4`` come from :func:`_window`.  The variance of a trimmed mean
+    depends on the quantile function only through its window ends
+    (Stigler 1973, Ann. Statist. 1:472), so the stars take the
+    complete-data closed form with ``q_a = z_a`` and ``q_b = z_b``.
+    ``gamma = -inf`` gives the complete-data case, whose derivatives are
+    zero.
+    """
+    a, b = trim.a, trim.b
+    tau = 1.0 - a - b
+    za, zb, (c1, c2, c3, c4) = _window(gamma, trim, 4)
     aq, bq = _weighted_powers(a, za), _weighted_powers(b, zb)
     abar, bbar = 1.0 - a, 1.0 - b
     c1s = (abar * aq[2] + bbar * bq[2] - 2.0 * aq[1] * bq[1]
@@ -319,14 +362,10 @@ def _coefficients(gamma: float, trim: TrimSpec, sigma: float) -> CoefficientSet:
            - tau ** 2 * c2 ** 2 + tau * c4) / (4.0 * tau ** 2)
     cset = CoefficientSet(c1=c1, c2=c2, c3=c3, c4=c4,
                           c1_star=c1s, c2_star=c2s, c3_star=c3s, gamma_used=gamma)
-    hazard = normal_hazard(gamma)
-    if hazard > 0.0:
-        # dc_k/dgamma = hazard * (b z_b^k - (1 - a) z_a^k + tau c_k) / tau,
-        # and gamma = (t - theta) / sigma
-        for k, ck in ((1, c1), (2, c2)):
-            dtheta = -hazard * (bq[k] - abar * za ** k + tau * ck) / (tau * sigma)
-            setattr(cset, f"dc{k}_dtheta", dtheta)
-            setattr(cset, f"dc{k}_dsigma", gamma * dtheta)
+    slopes = _dc_dtheta(gamma, trim, za, zb, c1, c2, sigma)
+    if slopes is not None:
+        cset.dc1_dtheta, cset.dc2_dtheta = slopes
+        cset.dc1_dsigma, cset.dc2_dsigma = gamma * slopes[0], gamma * slopes[1]
     return cset
 
 
@@ -361,17 +400,96 @@ def _require_window(verdict: TrimValidation) -> None:
         raise TrimValidationError("; ".join(verdict.messages))
 
 
+#: Upper end of the search in gamma.  sf(gamma) underflows to zero at
+#: about 38.5, so beyond that no window with a or b > 0 is representable.
+_GAMMA_MAX = 40.0
+
+
+def _solve_mtm_y(mu1: float, spread: float, t: float, trim: TrimSpec,
+                 solver: SolverSpec) -> tuple[float, float, int]:
+    """``(theta, sigma, passes)`` solving the per-payment trimmed-moment equations.
+
+    At coefficients fixed at gamma, :func:`_match_moments` gives ``(theta,
+    sigma)``, so the system is the scalar root of ``h(gamma) = k s(gamma)
+    + c1(gamma) - gamma`` with ``k = (t - mu1) / sqrt(spread)`` and ``s =
+    sqrt(c2 - c1^2)``.  As ``h = s (k - K(gamma))`` with ``K = (gamma -
+    c1) / s`` strictly increasing, ``h`` changes sign once, from positive
+    to negative, when ``k`` lies below the limit of ``K``.  Newton steps
+    start at ``gamma = k`` inside a bracket ``lo < root < hi``; a step
+    that would leave the bracket, or that does not halve the step before
+    last once both ends are sign changes, is replaced by bisection (Brent
+    1973, ch. 4).  The upper end starts where the window stops being
+    representable; a bracket that closes on it with ``h`` still positive
+    means there is no root.  The search ends once ``|h|``, the move a
+    fixed-point pass would still make, or the bracket width is at most
+    ``solver.step_tol * max(1, |gamma|)``.
+    """
+    k = (t - mu1) / math.sqrt(spread)
+    lo, hi = -math.inf, _GAMMA_MAX
+    edge = True  # hi is not a point where h < 0 but the representable range's end
+    gamma = min(k, _GAMMA_MAX)
+    step = before_last = math.inf
+    c12 = None  # (c1, c2) at the last representable gamma
+    for it in range(1, solver.max_iterations + 1):
+        newton = math.nan
+        try:
+            _, _, c1, c2, d1, d2 = _pass_coefficients(gamma, trim)
+        except DomainError:
+            hi, edge = gamma, True
+        else:
+            c12 = c1, c2
+            var = c2 - c1 * c1
+            if var <= 0.0:
+                raise EstimationError(
+                    f"degenerate coefficients at gamma={gamma:.4g}: c2 <= c1^2")
+            s = math.sqrt(var)
+            h = k * s + c1 - gamma
+            if abs(h) <= solver.step_tol * max(1.0, abs(gamma)):
+                return (*_match_moments(mu1, spread, c1, c2), it)
+            if h > 0.0:
+                lo = gamma
+            else:
+                hi, edge = gamma, False
+            dh = k * (d2 - 2.0 * c1 * d1) / (2.0 * s) + d1 - 1.0
+            if dh < 0.0:
+                newton = gamma - h / dh
+        if hi - lo <= solver.step_tol * max(1.0, abs(lo), abs(hi)):
+            if edge:
+                raise NoSolutionError(
+                    f"no trimmed-moment solution for trim {trim}: k = (t - mu1) / "
+                    f"sqrt(spread) = {k:.6g} is at or above the limit of "
+                    "(gamma - c1) / sqrt(c2 - c1^2)")
+            return (*_match_moments(mu1, spread, *c12), it)
+        before_last, step = step, abs(newton - gamma)
+        open_end = lo == -math.inf or edge
+        if not (lo < newton < hi and (open_end or step <= 0.5 * before_last)):
+            if lo == -math.inf:  # no point with h > 0 yet: step down
+                step = max(1.0, abs(hi))
+                newton = hi - step
+            else:
+                step = 0.5 * (hi - lo)
+                newton = lo + step
+        gamma = newton
+    raise ConvergenceError(
+        "trimmed-moment root in gamma not found",
+        last=None if c12 is None else _match_moments(mu1, spread, *c12),
+        iterations=solver.max_iterations)
+
+
 def fit_mtm_y(sample: PaymentSample, trim: TrimSpec,
               solver: SolverSpec | None = None,
               level: float = 0.95, validate: bool = True,
               with_cov: bool = True) -> FitResult:
     """Trimmed-moment fit of a per-payment sample.
 
-    Solves the implicit pair (location from the first trimmed moment,
-    scale from the trimmed spread) by alternating updates, re-deriving the
-    truncation-dependent coefficients at each pass.  After 50 passes the
-    updates are relaxed by one half.  Convergence is declared when the
-    estimates move by at most 1e-10.
+    The two trimmed-moment equations reduce to one monotone scalar
+    equation in the standardized truncation point, solved by safeguarded
+    Newton steps on the closed-form coefficients and their
+    gamma-derivatives (see :func:`_solve_mtm_y`); ``iterations`` counts
+    coefficient passes and ``solver`` sets their cap and tolerances.  A
+    sample with no solution raises ``NoSolutionError``: its trimmed mean
+    sits too far below the truncation point, relative to its trimmed
+    spread, for any gamma the kernel can represent.
 
     With ``validate`` set, the empirical window condition is enforced
     before fitting and the parametric condition is re-checked at the
@@ -379,32 +497,11 @@ def fit_mtm_y(sample: PaymentSample, trim: TrimSpec,
     ``extras["validation"]``.
     """
     _require_kind(sample, PaymentKind.PER_PAYMENT, "fit_mtm_y")
-    solver = solver or SolverSpec()
     if validate:
         _require_window(validate_trim_y(sample, trim))
     mu1, _, spread = _trimmed_moments(sample, trim)
-    t = sample.thresholds.t
-
-    theta = mu1
-    sigma = math.sqrt(spread)
-    iterations = 0
-    converged = False
-    for it in range(1, solver.max_iterations + 1):
-        iterations = it
-        gamma = (t - theta) / sigma
-        theta_new, sigma_new = _match_moments(mu1, spread, coeff_c_y(gamma, trim))
-        if it > 50:
-            sigma_new = 0.5 * (sigma + sigma_new)
-            theta_new = 0.5 * (theta + theta_new)
-        move = max(abs(theta_new - theta), abs(sigma_new - sigma))
-        theta, sigma = theta_new, sigma_new
-        if move <= 1e-10:
-            converged = True
-            break
-    if not converged:
-        raise ConvergenceError("trimmed-moment iteration did not settle",
-                               last=(theta, sigma), iterations=iterations)
-
+    theta, sigma, iterations = _solve_mtm_y(mu1, spread, sample.thresholds.t,
+                                            trim, solver or SolverSpec())
     return _finish_mtm(sample, trim, theta, sigma, iterations, level, "mtm",
                        cov_mtm_y if with_cov else None,
                        validate_trim_y if validate else None)
@@ -425,7 +522,8 @@ def fit_mtm_y_plugin(sample: PaymentSample, trim: TrimSpec,
         _require_window(validate_trim_y(sample, trim))
     mu1, _, spread = _trimmed_moments(sample, trim)
     gamma0 = (sample.thresholds.t - mu1) / math.sqrt(spread)
-    theta_hat, sigma_hat = _match_moments(mu1, spread, coeff_c_y(gamma0, trim))
+    cset = coeff_c_y(gamma0, trim)
+    theta_hat, sigma_hat = _match_moments(mu1, spread, cset.c1, cset.c2)
     return _finish_mtm(sample, trim, theta_hat, sigma_hat, 0, level,
                        "mtm-plugin", cov_mtm_y if with_cov else None,
                        validate_trim_y if validate else None, frozen_gamma=gamma0)
@@ -527,7 +625,7 @@ def fit_mtm_z(sample: PaymentSample, trim: TrimSpec,
         _require_window(validate_trim_z(sample, trim))
     mu1, mu2, spread = _trimmed_moments(sample, trim)
     cset = coeff_c_complete(trim)
-    theta_hat, sigma_hat = _match_moments(mu1, spread, cset)
+    theta_hat, sigma_hat = _match_moments(mu1, spread, cset.c1, cset.c2)
     residual = (abs(mu1 - (theta_hat + cset.c1 * sigma_hat)),
                 abs(mu2 - (theta_hat ** 2 + 2 * theta_hat * sigma_hat * cset.c1
                            + sigma_hat ** 2 * cset.c2)))

@@ -225,6 +225,16 @@ class TestAre:
         assert code != EXIT_OK
 
 
+    def test_model_without_a_band_is_a_typed_error(self, capsys):
+        # gamma = -16.2 and xi = -12.6: sf(gamma) - sf(xi) rounds to zero
+        code = main(["are", "--variant", "y", "--theta", "50", "--sigma", "3",
+                     "--deductible", "4", "--limit", "2e5", "--grid", "0x0"])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "Traceback" not in err[0]
+
+
 class TestSimulate:
     CFG = ("variant = z\nw0 = 1\ntheta = 5\nsigma = 3\ndeductible = 4\n"
            "limit = 24000\nsample_sizes = 60\nreplications = 25\nseed = 11\n"

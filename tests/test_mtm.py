@@ -1,4 +1,5 @@
 """Trimmed-moment coefficients, estimators, covariances, validation."""
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,9 +8,12 @@ import pytest
 
 import lossfit as lf
 import quadrature
+from lossfit import mtm
 from lossfit.errors import (
     ConvergenceError,
     DomainError,
+    EstimationError,
+    NoSolutionError,
     SingularMatrixError,
     TrimValidationError,
 )
@@ -27,6 +31,44 @@ def _y_sample(values, policy, w0=1.0):
     return lf.PaymentSample(kind=PaymentKind.PER_PAYMENT, values=values,
                             n0=0, n1=values.size - n2, n2=n2, policy=policy,
                             thresholds=th)
+
+
+def _moment_residuals(sample, trim, fit):
+    """Scale-free residuals of the two trimmed-moment equations at a fit."""
+    mu1, mu2 = (lf.trimmed_sample_moments(sample, trim, j) for j in (1, 2))
+    cset = lf.coeff_c_y(fit.gamma_hat, trim)
+    sigma = fit.sigma_hat
+    return (abs(mu1 - fit.theta_hat - sigma * cset.c1) / sigma,
+            abs(mu2 - mu1 ** 2 - sigma ** 2 * (cset.c2 - cset.c1 ** 2)) / sigma ** 2)
+
+
+def _scan_sample(gamma, rep):
+    """An n = 500 unlimited per-payment sample at sigma = 1, d = 4, w0 = 1."""
+    model = lf.GroundUpLognormal(w0=1.0, theta=math.log(3.0) - gamma, sigma=1.0)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((11, rep))))
+    return generate_sample(model, lf.PolicySpec(c=1.0, d=4.0, u=math.inf),
+                           PaymentKind.PER_PAYMENT, 500, rng)
+
+
+def _sample_scan(reps):
+    """Fits at gamma in {-0.5, 0, 1}: each converges or has no solution.
+
+    Returns the count of samples without a solution, by (gamma, trim).
+    """
+    no_solution = {}
+    for gamma in (-0.5, 0.0, 1.0):
+        for rep in range(reps):
+            sample = _scan_sample(gamma, rep)
+            for trim in (lf.TrimSpec(0.05, 0.05), lf.TrimSpec(0.0, 0.25)):
+                key = (gamma, trim.a, trim.b)
+                no_solution.setdefault(key, 0)
+                try:
+                    fit = lf.fit_mtm_y(sample, trim, validate=False, with_cov=False)
+                except NoSolutionError:
+                    no_solution[key] += 1
+                    continue
+                assert max(_moment_residuals(sample, trim, fit)) <= 1e-10, (key, rep)
+    return no_solution
 
 
 class TestTrimSpec:
@@ -238,6 +280,25 @@ class TestCoefficientsComplete:
             assert getattr(untrimmed, name) == pytest.approx(want, abs=1e-12)
 
 
+class TestPassCoefficients:
+    ARE_GRID_TRIMS = [(a, b) for a in (0.0, 0.05, 0.10, 0.15, 0.25)
+                      for b in (0.01, 0.05, 0.10, 0.15, 0.25)]
+
+    def test_equal_to_coeff_c_y_bit_for_bit(self):
+        # a solver pass reads c1, c2 and their gamma-derivatives from the
+        # lean kernel; they must be the very values coeff_c_y reports
+        for a, b in self.ARE_GRID_TRIMS:
+            trim = lf.TrimSpec(a, b)
+            for gamma in np.arange(-5.0, 30.0 + 1e-9, 0.25):
+                gamma = float(gamma)
+                za, zb, c1, c2, d1, d2 = mtm._pass_coefficients(gamma, trim)
+                cset = lf.coeff_c_y(gamma, trim)
+                assert (c1, c2, d1, d2) == (cset.c1, cset.c2, -cset.dc1_dtheta,
+                                            -cset.dc2_dtheta), (a, b, gamma)
+                assert all(type(v) is float for v in (za, zb, c1, c2, d1, d2))
+                assert za <= c1 <= zb
+
+
 class TestStarCoefficientLimit:
     def test_variance_integrals_reduce_to_complete_data(self):
         trim = lf.TrimSpec(0.1, 0.1)
@@ -303,35 +364,61 @@ class TestFitMtmY:
         assert plugin.sigma_hat == pytest.approx(sigma_closed, rel=1e-9)
         assert plugin.theta_hat == pytest.approx(theta_closed, rel=1e-9)
 
-    @pytest.mark.xfail(
-        strict=True, raises=ConvergenceError,
-        reason="the fixed point contracts too slowly on this sample and stops "
-               "after 200 passes even with exact coefficients; ROADMAP open "
-               "item 2 replaces it with a safeguarded scalar root in gamma")
     def test_slowly_contracting_sample_converges(self, design_model,
                                                  policy_u2e5):
-        # the first (n = 500) sample of replication 82 of a study seeded
-        # 3109143429, drawn exactly as simulation._run_replication draws it
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=(3109143429, 82))))
-        sample = generate_sample(design_model, policy_u2e5,
-                                 PaymentKind.PER_PAYMENT, 500, rng)
-        fit = lf.fit_mtm_y(sample, lf.TrimSpec(0.0, 0.25), validate=False,
-                           with_cov=False)
-        assert fit.converged
+        # the first (n = 500) samples of replication 82 of a study seeded
+        # 3109143429 and of replication 1 of one seeded 156, drawn exactly
+        # as simulation._run_replication draws them; a fixed point in
+        # (theta, sigma) contracts too slowly on both
+        trim = lf.TrimSpec(0.0, 0.25)
+        for entropy, want in (((3109143429, 82), (4.0919, 3.8872)),
+                              ((156, 1), (4.2274, 4.1029))):
+            rng = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(entropy=entropy)))
+            sample = generate_sample(design_model, policy_u2e5,
+                                     PaymentKind.PER_PAYMENT, 500, rng)
+            fit = lf.fit_mtm_y(sample, trim, validate=False, with_cov=False)
+            assert fit.converged and fit.iterations <= 8
+            assert (fit.theta_hat, fit.sigma_hat) == pytest.approx(want, abs=1e-4)
+            assert max(_moment_residuals(sample, trim, fit)) <= 1e-10
 
     def test_convergence_error_carries_plain_floats(self, design_model,
                                                     policy_u2e5):
-        # the same pinned sample; the fit stops with numpy scalars in hand
+        # the first pinned sample above, stopped after one pass
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(entropy=(3109143429, 82))))
         sample = generate_sample(design_model, policy_u2e5,
                                  PaymentKind.PER_PAYMENT, 500, rng)
         with pytest.raises(ConvergenceError) as err:
             lf.fit_mtm_y(sample, lf.TrimSpec(0.0, 0.25), validate=False,
-                         with_cov=False)
+                         with_cov=False, solver=lf.SolverSpec(max_iterations=1))
         assert len(err.value.last) == 2
         assert all(type(v) is float for v in err.value.last)
+
+    def test_no_solution_above_the_limit_of_k(self):
+        # gamma = 1, trim (0, 0.25): this sample's k lies above K(30), so
+        # any root would need gamma > 30; the search ends at the first
+        # gamma where the window is no longer representable
+        trim = lf.TrimSpec(0.0, 0.25)
+        sample = _scan_sample(1.0, 43)
+        mu1, mu2 = (lf.trimmed_sample_moments(sample, trim, j) for j in (1, 2))
+        k = (sample.thresholds.t - mu1) / math.sqrt(mu2 - mu1 ** 2)
+        far = lf.coeff_c_y(30.0, trim)
+        assert k > (30.0 - far.c1) / math.sqrt(far.c2 - far.c1 ** 2)
+        with pytest.raises(NoSolutionError) as err:
+            lf.fit_mtm_y(sample, trim, validate=False, with_cov=False)
+        assert isinstance(err.value, EstimationError)
+        assert not isinstance(err.value, ConvergenceError)
+
+    def test_sample_scan_has_no_convergence_error(self):
+        assert sum(_sample_scan(20).values()) == 0
+
+    @pytest.mark.slow
+    def test_full_sample_scan_has_no_convergence_error(self):
+        # only samples whose k lies above K(30) lack a solution
+        no_solution = _sample_scan(100)
+        assert no_solution.pop((1.0, 0.0, 0.25)) == 5
+        assert sum(no_solution.values()) == 0
 
     def test_empirical_validation_enforced(self, design_model, policy_u2e5):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((6, 4))))
@@ -395,6 +482,37 @@ class TestFitMtmZ:
                                                        rel=1e-12)
         assert contaminated.sigma_hat == pytest.approx(base.sigma_hat,
                                                        rel=1e-12)
+
+
+class TestTrimmedRecordInvariance:
+    """Records the upper trim drops never reach a trimmed-moment fit."""
+
+    @staticmethod
+    def _move_top_records(sample, trim):
+        # v -> 10 v + 50 on the top floor(n b) records keeps their order
+        _, m_hi = trim.counts(sample.n)
+        values = sample.values.copy()
+        values[sample.n - m_hi:] = 10.0 * values[sample.n - m_hi:] + 50.0
+        return dataclasses.replace(sample, values=values)
+
+    @pytest.mark.parametrize("variant,trim", [
+        (PaymentKind.PER_PAYMENT, lf.TrimSpec(0.05, 0.05)),
+        (PaymentKind.PER_PAYMENT, lf.TrimSpec(0.0, 0.25)),
+        (PaymentKind.PER_LOSS, lf.TrimSpec(0.15, 0.10)),
+    ])
+    def test_far_out_top_records_change_nothing(self, design_model,
+                                                policy_unlimited, variant, trim):
+        fit = lf.fit_mtm_y if variant is PaymentKind.PER_PAYMENT else lf.fit_mtm_z
+        for rep in range(5):
+            rng = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence((19, rep))))
+            sample = generate_sample(design_model, policy_unlimited, variant, 500, rng)
+            moved = self._move_top_records(sample, trim)
+            assert moved.values[-1] > 10.0 * sample.values[-1]
+            before, after = fit(sample, trim), fit(moved, trim)
+            assert (after.theta_hat, after.sigma_hat) == (before.theta_hat,
+                                                          before.sigma_hat)
+            assert after.cov.tobytes() == before.cov.tobytes()
 
 
 class TestCovariances:

@@ -171,6 +171,19 @@ class TestRunStudy:
         assert result.cell(label, 60).n_used == 10
         assert 0.0 < result.are_limit[label] < 1.0
 
+    def test_sample_without_solution_is_an_exclusion(self):
+        # at gamma = 1 with trim (0, 0.25), replication 43 of seed 11 has
+        # no trimmed-moment solution (see test_mtm); it is dropped and
+        # counted, and the study goes on
+        trim = lf.TrimSpec(0.0, 0.25)
+        model = lf.GroundUpLognormal(w0=1.0, theta=math.log(3.0) - 1.0, sigma=1.0)
+        config = StudyConfig(model=model, policy=lf.PolicySpec(c=1.0, d=4.0, u=math.inf),
+                             variant=PaymentKind.PER_PAYMENT, sample_sizes=(500,),
+                             replications=44, estimators=(EstimatorSpec("mtm", trim),),
+                             seed=11)
+        cell = run_study(config).cell(EstimatorSpec("mtm", trim).label, 500)
+        assert (cell.n_used, cell.n_excluded) == (43, 1)
+
     def test_impossible_estimator_rejected_before_sampling(
             self, design_model, policy_u2e5, monkeypatch):
         def no_draw(*args):
