@@ -38,6 +38,7 @@ from .mle import FitResult, _require_kind, confidence_intervals
 from .numerics import (
     SolverSpec,
     normal_hazard,
+    solve_bracketed_newton,
     std_normal_cdf,
     std_normal_log_sf,
     std_normal_sf,
@@ -412,68 +413,42 @@ def _solve_mtm_y(mu1: float, spread: float, t: float, trim: TrimSpec,
     At coefficients fixed at gamma, :func:`_match_moments` gives ``(theta,
     sigma)``, so the system is the scalar root of ``h(gamma) = k s(gamma)
     + c1(gamma) - gamma`` with ``k = (t - mu1) / sqrt(spread)`` and ``s =
-    sqrt(c2 - c1^2)``.  As ``h = s (k - K(gamma))`` with ``K = (gamma -
-    c1) / s`` strictly increasing, ``h`` changes sign once, from positive
-    to negative, when ``k`` lies below the limit of ``K``.  Newton steps
-    start at ``gamma = k`` inside a bracket ``lo < root < hi``; a step
-    that would leave the bracket, or that does not halve the step before
-    last once both ends are sign changes, is replaced by bisection (Brent
-    1973, ch. 4).  The upper end starts where the window stops being
-    representable; a bracket that closes on it with ``h`` still positive
-    means there is no root.  The search ends once ``|h|``, the move a
-    fixed-point pass would still make, or the bracket width is at most
-    ``solver.step_tol * max(1, |gamma|)``.
+    sqrt(c2 - c1^2)``; ``|h|`` is the move a fixed-point pass would still
+    make.  As ``h = s (k - K(gamma))`` with ``K = (gamma - c1) / s``
+    strictly increasing, ``h`` changes sign once, from positive to
+    negative, when ``k`` lies below the limit of ``K``.  The root is found
+    by :func:`~lossfit.numerics.solve_bracketed_newton` from ``gamma = k``,
+    with the search capped where the window stops being representable.
     """
     k = (t - mu1) / math.sqrt(spread)
-    lo, hi = -math.inf, _GAMMA_MAX
-    edge = True  # hi is not a point where h < 0 but the representable range's end
-    gamma = min(k, _GAMMA_MAX)
-    step = before_last = math.inf
-    c12 = None  # (c1, c2) at the last representable gamma
-    for it in range(1, solver.max_iterations + 1):
-        newton = math.nan
+    c12 = {}  # (c1, c2) at each gamma where h was evaluated
+
+    def h_and_slope(gamma: float) -> tuple[float, float] | None:
         try:
             _, _, c1, c2, d1, d2 = _pass_coefficients(gamma, trim)
         except DomainError:
-            hi, edge = gamma, True
-        else:
-            c12 = c1, c2
-            var = c2 - c1 * c1
-            if var <= 0.0:
-                raise EstimationError(
-                    f"degenerate coefficients at gamma={gamma:.4g}: c2 <= c1^2")
-            s = math.sqrt(var)
-            h = k * s + c1 - gamma
-            if abs(h) <= solver.step_tol * max(1.0, abs(gamma)):
-                return (*_match_moments(mu1, spread, c1, c2), it)
-            if h > 0.0:
-                lo = gamma
-            else:
-                hi, edge = gamma, False
-            dh = k * (d2 - 2.0 * c1 * d1) / (2.0 * s) + d1 - 1.0
-            if dh < 0.0:
-                newton = gamma - h / dh
-        if hi - lo <= solver.step_tol * max(1.0, abs(lo), abs(hi)):
-            if edge:
-                raise NoSolutionError(
-                    f"no trimmed-moment solution for trim {trim}: k = (t - mu1) / "
-                    f"sqrt(spread) = {k:.6g} is at or above the limit of "
-                    "(gamma - c1) / sqrt(c2 - c1^2)")
-            return (*_match_moments(mu1, spread, *c12), it)
-        before_last, step = step, abs(newton - gamma)
-        open_end = lo == -math.inf or edge
-        if not (lo < newton < hi and (open_end or step <= 0.5 * before_last)):
-            if lo == -math.inf:  # no point with h > 0 yet: step down
-                step = max(1.0, abs(hi))
-                newton = hi - step
-            else:
-                step = 0.5 * (hi - lo)
-                newton = lo + step
-        gamma = newton
-    raise ConvergenceError(
-        "trimmed-moment root in gamma not found",
-        last=None if c12 is None else _match_moments(mu1, spread, *c12),
-        iterations=solver.max_iterations)
+            return None
+        var = c2 - c1 * c1
+        if var <= 0.0:
+            raise EstimationError(
+                f"degenerate coefficients at gamma={gamma:.4g}: c2 <= c1^2")
+        s = math.sqrt(var)
+        c12[gamma] = c1, c2
+        return k * s + c1 - gamma, k * (d2 - 2.0 * c1 * d1) / (2.0 * s) + d1 - 1.0
+
+    try:
+        gamma, passes = solve_bracketed_newton(h_and_slope, k, _GAMMA_MAX, solver)
+    except NoSolutionError as exc:
+        raise NoSolutionError(
+            f"no trimmed-moment solution for trim {trim}: k = (t - mu1) / "
+            f"sqrt(spread) = {k:.6g} is at or above the limit of "
+            "(gamma - c1) / sqrt(c2 - c1^2)") from exc
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            "trimmed-moment root in gamma not found",
+            last=None if exc.last is None else _match_moments(mu1, spread, *c12[exc.last]),
+            iterations=exc.iterations) from exc
+    return (*_match_moments(mu1, spread, *c12[gamma]), passes)
 
 
 def fit_mtm_y(sample: PaymentSample, trim: TrimSpec,
@@ -488,8 +463,9 @@ def fit_mtm_y(sample: PaymentSample, trim: TrimSpec,
     gamma-derivatives (see :func:`_solve_mtm_y`); ``iterations`` counts
     coefficient passes and ``solver`` sets their cap and tolerances.  A
     sample with no solution raises ``NoSolutionError``: its trimmed mean
-    sits too far below the truncation point, relative to its trimmed
-    spread, for any gamma the kernel can represent.
+    lies too close above the truncation point, relative to its trimmed
+    spread, for any gamma the kernel can represent (``k`` is at or above
+    the limit of ``K``).
 
     With ``validate`` set, the empirical window condition is enforced
     before fitting and the parametric condition is re-checked at the

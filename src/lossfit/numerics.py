@@ -32,6 +32,7 @@ __all__ = [
     "std_normal_quantile",
     "normal_hazard",
     "solve_monotone_scalar",
+    "solve_bracketed_newton",
     "solve_2d",
 ]
 
@@ -211,6 +212,77 @@ def solve_monotone_scalar(f: Callable[[float], float], target: float,
                 last=x, residual=abs(f(x) - target))
     raise ConvergenceError("scalar solve exceeded its iteration budget",
                            last=0.5 * (lo + hi), residual=abs(f(0.5 * (lo + hi)) - target))
+
+
+def solve_bracketed_newton(fdf: Callable[[float], tuple[float, float] | None],
+                           start: float, upper: float,
+                           spec: SolverSpec | None = None) -> tuple[float, int]:
+    """Root of an ``f`` that is positive below its root and negative above.
+
+    ``fdf(x)`` returns ``(f(x), f'(x))``, or None where ``f`` cannot be
+    evaluated; that region must lie above every point where it can.  Newton
+    steps start at ``min(start, upper)`` inside a bracket ``lo < root <
+    hi``, with ``hi = upper`` at first.  A step that would leave the
+    bracket, or that does not halve the previous step once both ends are
+    sign changes, is replaced by bisection, or by a unit step down while no
+    point with ``f > 0`` is known (a safeguard in the manner of Brent 1973,
+    ch. 4).  The search ends once ``|f| <= spec.step_tol * max(1, |x|)``
+    or the bracket is no wider than ``spec.step_tol * max(1, |lo|, |hi|)``.
+
+    Returns
+    -------
+    (x, evaluations)
+        The last point where ``f`` was evaluated, and the number of calls
+        to ``fdf``.
+
+    Raises
+    ------
+    NoSolutionError
+        If the bracket closes on a point where ``f`` cannot be evaluated:
+        ``f`` stays positive wherever it can.
+    ConvergenceError
+        If ``spec.max_iterations`` calls do not close the bracket; ``last``
+        is the last point where ``f`` was evaluated.
+    """
+    spec = spec or SolverSpec()
+    lo, hi = -math.inf, upper
+    edge = True  # hi bounds where f can be evaluated, not a point with f < 0
+    x = min(start, upper)
+    step = last_step = math.inf
+    evaluated = None
+    for it in range(1, spec.max_iterations + 1):
+        newton = math.nan
+        value = fdf(x)
+        if value is None:
+            hi, edge = x, True
+        else:
+            evaluated = x
+            f, df = value
+            if abs(f) <= spec.step_tol * max(1.0, abs(x)):
+                return x, it
+            if f > 0.0:
+                lo = x
+            else:
+                hi, edge = x, False
+            if df < 0.0:
+                newton = x - f / df
+        if lo > -math.inf and hi - lo <= spec.step_tol * max(1.0, abs(lo), abs(hi)):
+            if edge:
+                raise NoSolutionError(
+                    "the function stays positive wherever it can be evaluated")
+            return x, it
+        last_step, step = step, abs(newton - x)
+        open_end = lo == -math.inf or edge
+        if not (lo < newton < hi and (open_end or step <= 0.5 * last_step)):
+            if lo == -math.inf:  # no point with f > 0 yet: step down
+                step = max(1.0, abs(hi))
+                newton = hi - step
+            else:
+                step = 0.5 * (hi - lo)
+                newton = lo + step
+        x = newton
+    raise ConvergenceError("bracketed Newton search exceeded its iteration budget",
+                           last=evaluated, iterations=spec.max_iterations)
 
 
 def _residual_norm(f: np.ndarray) -> float:

@@ -411,10 +411,6 @@ class TestFitMtmY:
         assert not isinstance(err.value, ConvergenceError)
 
     def test_sample_scan_has_no_convergence_error(self):
-        assert sum(_sample_scan(20).values()) == 0
-
-    @pytest.mark.slow
-    def test_full_sample_scan_has_no_convergence_error(self):
         # only samples whose k lies above K(30) lack a solution
         no_solution = _sample_scan(100)
         assert no_solution.pop((1.0, 0.0, 0.25)) == 5

@@ -20,6 +20,7 @@ from lossfit.numerics import (
     SolverSpec,
     normal_hazard,
     solve_2d,
+    solve_bracketed_newton,
     solve_monotone_scalar,
     std_normal_cdf,
     std_normal_pdf,
@@ -256,6 +257,33 @@ class TestSolveMonotoneScalar:
     def test_target_outside_range(self):
         with pytest.raises(NoSolutionError):
             solve_monotone_scalar(math.tanh, 2.0, (-1.0, 1.0))
+
+
+class TestSolveBracketedNewton:
+    def test_steps_down_to_a_root_below_the_start(self):
+        # exp(-x) - 0.5 from x = 3: f < 0 at the start, root at log 2
+        x, calls = solve_bracketed_newton(
+            lambda v: (math.exp(-v) - 0.5, -math.exp(-v)), 3.0, 10.0)
+        assert x == pytest.approx(math.log(2.0), abs=1e-12)
+        assert calls <= 12
+
+    def test_flat_slope_falls_back_to_bisection(self):
+        # a zero slope gives no Newton step; bisection still closes in
+        x, _ = solve_bracketed_newton(lambda v: (1.0 - v, 0.0), 0.0, 4.0)
+        assert x == pytest.approx(1.0, abs=1e-11)
+
+    def test_positive_up_to_the_evaluable_edge(self):
+        # 1 + exp(-x) > 0 wherever it is evaluable (x < 5)
+        def fdf(v):
+            return None if v >= 5.0 else (1.0 + math.exp(-v), -math.exp(-v))
+        with pytest.raises(NoSolutionError):
+            solve_bracketed_newton(fdf, 0.0, 10.0)
+
+    def test_budget_carries_the_last_evaluated_point(self):
+        with pytest.raises(ConvergenceError) as err:
+            solve_bracketed_newton(lambda v: (math.exp(-v) - 0.5, -math.exp(-v)),
+                                   3.0, 10.0, SolverSpec(max_iterations=1))
+        assert err.value.last == 3.0 and err.value.iterations == 1
 
 
 class TestSolve2d:
